@@ -8,6 +8,7 @@ the output bytes for a fixed seed.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -98,7 +99,8 @@ def load_wav(path) -> Waveform:
     """Decode a PCM WAV file (8/16/24-bit int or 32-bit float), mixing to mono.
 
     Integer samples map to [-1, 1) by dividing by the type's full scale;
-    float samples are clipped into [-1, 1]. Multichannel input is averaged.
+    float samples are clipped into [-1, 1], and a NaN or infinite float
+    sample is an AudioError. Multichannel input is averaged.
     """
     try:
         rate, data = wavfile.read(str(path))
@@ -113,6 +115,8 @@ def load_wav(path) -> Waveform:
     elif data.dtype == np.uint8:
         samples = (data.astype(np.float64) - 128.0) / 128.0
     elif data.dtype in (np.float32, np.float64):
+        if not np.isfinite(data).all():
+            raise AudioError(f"non-finite samples in {path}")
         samples = np.clip(data.astype(np.float64), -1.0, 1.0)
     else:
         raise AudioError(f"unsupported WAV sample format {data.dtype} in {path}")
@@ -195,14 +199,21 @@ def mel_filter_centers(cfg: MelConfig) -> np.ndarray:
     return mel_inverse(pts)[1:-1]
 
 
+@functools.lru_cache(maxsize=8)
 def mel_filterbank(cfg: MelConfig) -> np.ndarray:
-    """(n_mels, fft_size//2 + 1) triangular filters, peak weight 1 (area-unnormalized)."""
+    """(n_mels, fft_size//2 + 1) triangular filters, peak weight 1 (area-unnormalized).
+
+    Built once per MelConfig and shared by every caller, so the array is
+    read-only.
+    """
     pts = mel_inverse(np.linspace(mel_scale(cfg.mel_fmin), mel_scale(cfg.mel_fmax), cfg.n_mels + 2))
     bins = np.arange(cfg.fft_size // 2 + 1, dtype=np.float64) * cfg.target_rate / cfg.fft_size
     left, center, right = pts[:-2, None], pts[1:-1, None], pts[2:, None]
     rising = (bins[None, :] - left) / (center - left)
     falling = (right - bins[None, :]) / (right - center)
-    return np.maximum(0.0, np.minimum(rising, falling))
+    bank = np.maximum(0.0, np.minimum(rising, falling))
+    bank.flags.writeable = False
+    return bank
 
 
 def log_mel_spectrogram(wave: Waveform, cfg: MelConfig) -> MelSpectrogram:

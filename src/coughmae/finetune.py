@@ -17,14 +17,15 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import Checkpoint, load_into
-from .dsp import DatasetManifest, MelConfig
+from .dsp import (DatasetManifest, MelConfig, Waveform, frame_count,
+                  log_mel_spectrogram, normalize)
 from .errors import ConfigError, DataError, NumericsError, ShapeError
 from .mae import prepare_patches
 from .optim import AdamW, clip_grad_norm, warmup_cosine_lr
 from .rng import seeded_rng, truncated_normal
 from .tensor import Parameter, Tensor
 from .vit import (INIT_STD, EncoderParams, FeatureSequence, ModelConfig,
-                  embed, encode)
+                  embed, encode, patchify)
 
 N_CLASSES = 2
 MAX_GRAD_NORM = 1.0   # ViT fine-tuning value, Dosovitskiy et al. 2021, App. B.1
@@ -189,14 +190,15 @@ class FinetuneResult:
 
 def score_samples(patches: np.ndarray, grid_shape, encoder: EncoderParams,
                   head: ClassifierHead, pooling: str, batch_size: int = 32) -> np.ndarray:
-    """Positive-class probability for each sample in a stacked patch array."""
+    """Positive-class probability for each sample in a stacked patch array (no tape)."""
     out = []
-    for lo in range(0, patches.shape[0], batch_size):
-        chunk = patches[lo:lo + batch_size]
-        seq = embed(chunk, encoder, with_cls=True, grid_shape=grid_shape)
-        feats = encode(seq, encoder)
-        probs = classify(pool(feats, pooling), head)
-        out.append(probs.data[:, 1])
+    with T.no_grad():
+        for lo in range(0, patches.shape[0], batch_size):
+            chunk = patches[lo:lo + batch_size]
+            seq = embed(chunk, encoder, with_cls=True, grid_shape=grid_shape)
+            feats = encode(seq, encoder)
+            probs = classify(pool(feats, pooling), head)
+            out.append(probs.data[:, 1])
     return np.concatenate(out)
 
 
@@ -303,23 +305,45 @@ def classifier_from_checkpoint(ckpt: Checkpoint, model_cfg: ModelConfig):
 
 def build_scorer(encoder: EncoderParams, head: ClassifierHead, mel_cfg: MelConfig,
                  pooling: str, stats=None):
-    """Window scorer for segmentation: Waveform -> positive-class probability.
+    """Window scorer for segmentation: (wave, offsets, win) -> probabilities.
 
-    The window is featurized exactly like training data (log-mel at whatever
-    length the window has; normalized only when the model was trained on
-    normalized input) and run through encoder, pooling and head.
+    Returns one positive-class probability per offset, for the windows
+    wave.samples[o:o + win]. Each window is featurized exactly like training
+    data (log-mel at the window's length; normalized only when the model was
+    trained on normalized input). When every offset lies a whole number of
+    hops after the first, one log-mel of the span the windows cover is cut
+    into the windows' rows: frames are fully contained (no centre padding),
+    so those rows are each window's own log-mel. Otherwise each window gets
+    its own log-mel. All windows then run through one encoder forward with
+    no tape.
     """
-    from .dsp import log_mel_spectrogram, normalize
-    from .vit import patchify
+    hop = mel_cfg.frame_hop_samples
 
-    def scorer(window) -> float:
-        spec = log_mel_spectrogram(window, mel_cfg)
+    def features(samples: np.ndarray, rate: int) -> np.ndarray:
+        spec = log_mel_spectrogram(Waveform(samples=samples, sample_rate=rate), mel_cfg)
         if stats is not None:
             spec = normalize(spec, stats.mean, stats.std)
-        ps = patchify(spec, encoder.cfg.patch_size, encoder.cfg.patch_stride)
-        seq = embed(ps, encoder)
-        feats = encode(seq, encoder)
-        return float(classify(pool(feats, pooling), head).data[0, 1])
+        return spec.values
+
+    def embed_windows(wave: Waveform, offsets: np.ndarray, win: int):
+        samples, rate = wave.samples, wave.sample_rate
+        shifts = offsets - offsets[0]
+        if np.all(shifts % hop == 0):
+            span = features(samples[offsets[0]:offsets[-1] + win], rate)
+            n_frames = frame_count(win, mel_cfg)
+            values = np.stack([span[k:k + n_frames] for k in shifts // hop])
+        else:
+            values = np.stack([features(samples[o:o + win], rate) for o in offsets])
+        ps = patchify(values, encoder.cfg.patch_size, encoder.cfg.patch_stride)
+        return embed(ps.patches, encoder, grid_shape=ps.grid_shape)
+
+    def scorer(wave: Waveform, offsets, win: int) -> np.ndarray:
+        with T.no_grad():
+            # Spectrograms and patches are freed before the encoder runs,
+            # which sets the peak memory of segmentation.
+            seq = embed_windows(wave, np.asarray(offsets, dtype=np.intp), win)
+            feats = encode(seq, encoder)
+            return classify(pool(feats, pooling), head).data[:, 1]
 
     return scorer
 

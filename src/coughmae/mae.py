@@ -259,22 +259,16 @@ def prepare_patches(manifest: DatasetManifest, mel_cfg: MelConfig, target_frames
     if len(manifest) == 0:
         raise DataError("empty manifest")
     from .dsp import normalize as normalize_spec
-    stacked = []
+    fitted = []
     raw_values = []
-    grid_shape = None
     for entry in manifest.entries:
         spec = spectrogram_for_file(manifest.resolve(entry), mel_cfg)
         raw_values.append(spec.values)
         if stats is not None:
             spec = normalize_spec(spec, stats.mean, stats.std)
-        spec = fit_length(spec, target_frames, mel_cfg.log_floor)
-        ps = patchify(spec, model_cfg.patch_size, model_cfg.patch_stride)
-        if grid_shape is None:
-            grid_shape = ps.grid_shape
-        elif ps.grid_shape != grid_shape:
-            raise ShapeError(f"inconsistent patch grids {grid_shape} vs {ps.grid_shape}")
-        stacked.append(ps.patches)
-    return np.stack(stacked), grid_shape, raw_values
+        fitted.append(fit_length(spec, target_frames, mel_cfg.log_floor).values)
+    ps = patchify(np.stack(fitted), model_cfg.patch_size, model_cfg.patch_stride)
+    return ps.patches, ps.grid_shape, raw_values
 
 
 def pretrain_step_loss(batch_patches: np.ndarray, grid_shape: tuple[int, int],

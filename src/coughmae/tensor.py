@@ -8,10 +8,13 @@ Gradients accumulate (+=) into requires-grad leaves, so calling backward
 twice doubles them and micro-batch accumulation works without ceremony.
 
 Ops applied to constants only produce constants and record nothing, which
-keeps data-preparation code off the tape.
+keeps data-preparation code off the tape. Inside a `no_grad()` block no op
+records anything either, so inference builds no tape even though the
+parameters require gradients.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 from typing import Callable, Iterable, Sequence
 
@@ -26,6 +29,9 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_K = 0.044715
 
 LAYER_NORM_EPS = 1e-6
+
+# False inside no_grad(): _node then records no parents or VJPs.
+_grad_enabled = True
 
 
 def _as_array(x) -> np.ndarray:
@@ -130,14 +136,32 @@ def _lift(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+@contextlib.contextmanager
+def no_grad():
+    """Record no tape inside the block: every op output is a constant.
+
+    Values are computed exactly as with the tape on, and the per-op finite
+    check still runs. The previous mode is restored on exit, also when the
+    block raises, so blocks nest.
+    """
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def _node(data: np.ndarray, op: str, parents: Sequence[Tensor], vjps: Sequence[Callable]) -> Tensor:
-    """Build an output tensor, recording parents/vjps only when a parent is live."""
+    """Build an output tensor, recording parents/vjps only when a parent is live
+    and no no_grad() block is active."""
     _require_finite(data, op)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
     out._op = op
-    if any(p.requires_grad for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._vjps = tuple(vjps)
@@ -344,7 +368,7 @@ def gelu(x: Tensor) -> Tensor:
     x = _lift(x)
     v = x.data
     u = _GELU_C * (v + _GELU_K * v ** 3)
-    t = np.tanh(u)
+    t = np.tanh(u, out=u)   # u is not used again: one activation-sized array fewer
     out = 0.5 * v * (1.0 + t)
 
     def vjp(g):

@@ -60,16 +60,16 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class PatchSequence:
-    """Raster-ordered square patches from one spectrogram."""
+    """Raster-ordered square patches from one spectrogram, or from a stack."""
 
-    patches: np.ndarray  # (n_patches, side * side)
+    patches: np.ndarray  # (n_patches, side * side), or (n, n_patches, side * side)
     grid_shape: tuple[int, int]  # (patches along time, patches along mel)
     side: int
     stride: int
 
     @property
     def n_patches(self) -> int:
-        return self.patches.shape[0]
+        return self.patches.shape[-2]
 
 
 def patch_grid(width: int, height: int, side: int, stride: int) -> tuple[int, int]:
@@ -86,19 +86,22 @@ def patch_count(width: int, height: int, side: int, stride: int) -> int:
     return rows * cols
 
 
-def patchify(spec: MelSpectrogram, side: int = 16, stride: int = 16) -> PatchSequence:
-    """Cut the spectrogram into side x side patches, raster order, row-major cells.
+def patchify(spec, side: int = 16, stride: int = 16) -> PatchSequence:
+    """Cut spectrograms into side x side patches, raster order, row-major cells.
 
-    Trailing rows/columns that do not fill a whole patch are dropped.
+    `spec` is one MelSpectrogram, giving (n_patches, side*side) patches, or a
+    stacked (n, frames, mels) array of equally sized spectrograms, giving
+    (n, n_patches, side*side). Trailing rows/columns that do not fill a whole
+    patch are dropped.
     """
-    values = spec.values
-    rows, cols = patch_grid(values.shape[0], values.shape[1], side, stride)
-    patches = np.empty((rows * cols, side * side), dtype=np.float64)
-    for r in range(rows):
-        t0 = r * stride
-        for c in range(cols):
-            f0 = c * stride
-            patches[r * cols + c] = values[t0:t0 + side, f0:f0 + side].reshape(-1)
+    values = spec.values if isinstance(spec, MelSpectrogram) else np.asarray(spec, dtype=np.float64)
+    if values.ndim not in (2, 3):
+        raise ShapeError(f"expected (frames, mels) or (n, frames, mels) values, got {values.shape}")
+    rows, cols = patch_grid(values.shape[-2], values.shape[-1], side, stride)
+    windows = np.lib.stride_tricks.sliding_window_view(values, (side, side), axis=(-2, -1))
+    patches = np.empty((*values.shape[:-2], rows, cols, side, side), dtype=np.float64)
+    patches[...] = windows[..., ::stride, ::stride, :, :]    # a fresh array, never a view
+    patches = patches.reshape(*values.shape[:-2], rows * cols, side * side)
     return PatchSequence(patches=patches, grid_shape=(rows, cols), side=side, stride=stride)
 
 

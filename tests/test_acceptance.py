@@ -26,7 +26,7 @@ from coughmae.mae import (PretrainConfig, WindowConfig, build_pretrain_model,
                           window_map_for_grid)
 from coughmae.rng import seeded_rng
 from coughmae.segment import (Event, F1Scores, SegmentationConfig, event_f1,
-                              sample_f1, slide)
+                              per_window, sample_f1, slide)
 from coughmae.tensor import Tensor
 from coughmae.vit import (EncoderParams, FeatureSequence, ModelConfig, embed,
                           encode, patch_grid)
@@ -283,8 +283,8 @@ def test_criterion_8_segmentation_scoring(rng):
 
     rate = 100
     ramp = Waveform(samples=np.arange(100, dtype=np.float64), sample_rate=rate)
-    single = slide(ramp, lambda w: 1.0 if int(w.samples[0]) == 10 else 0.0, cfg)
-    merged = slide(ramp, lambda w: 1.0 if 10 <= int(w.samples[0]) <= 20 else 0.0, cfg)
+    single = slide(ramp, per_window(lambda w: 1.0 if int(w.samples[0]) == 10 else 0.0), cfg)
+    merged = slide(ramp, per_window(lambda w: 1.0 if 10 <= int(w.samples[0]) <= 20 else 0.0), cfg)
     slide_exact = (single == [Event(0.10, 0.50)] and merged == [Event(0.10, 0.60)])
 
     shift_ok = True
@@ -297,8 +297,8 @@ def test_criterion_8_segmentation_scoring(rng):
             return 1.0 if np.max(np.abs(w.samples)) > 10.0 else 0.0
 
         k = int(rng.integers(1, 30))
-        base = slide(Waveform(x, rate), scorer, cfg)
-        delayed = slide(Waveform(np.concatenate([np.zeros(k), x]), rate), scorer, cfg)
+        base = slide(Waveform(x, rate), per_window(scorer), cfg)
+        delayed = slide(Waveform(np.concatenate([np.zeros(k), x]), rate), per_window(scorer), cfg)
         shift_ok = shift_ok and len(base) == len(delayed) and all(
             abs(d.start - (b.start + k * cfg.step)) < 1e-9
             and abs(d.end - (b.end + k * cfg.step)) < 1e-9

@@ -96,6 +96,23 @@ def test_stats_without_manifest_exit_2(capsys):
     assert "manifest" in err
 
 
+def test_non_finite_wav_exit_2_names_file(capsys, tmp_path):
+    from scipy.io import wavfile
+    samples = np.zeros(16000, dtype=np.float32)
+    samples[100] = np.nan
+    wavfile.write(str(tmp_path / "nan.wav"), 16000, samples)
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("path,label,split\nnan.wav,0,\n")
+    code, out, err = run_cli(capsys, "stats", "--manifest", str(manifest))
+    assert code == 2
+    assert "nan.wav" in err and out == ""
+    cfg = write_config(tmp_path / "pre.json", paths={"manifest": str(manifest),
+                                                     "output_dir": str(tmp_path / "pre")})
+    code, _, err = run_cli(capsys, "pretrain", "--config", str(cfg))
+    assert code == 2
+    assert "nan.wav" in err
+
+
 # - pretrain -
 
 

@@ -56,6 +56,17 @@ def test_load_wav_empty_errors(tmp_path):
         load_wav(p)
 
 
+def test_load_wav_rejects_non_finite_float_samples(tmp_path):
+    from scipy.io import wavfile
+    for bad in (np.nan, np.inf):
+        p = tmp_path / "bad.wav"
+        data = np.zeros(400, dtype=np.float32)
+        data[7] = bad
+        wavfile.write(str(p), 16000, data)
+        with pytest.raises(AudioError, match="bad.wav"):
+            load_wav(p)
+
+
 def test_load_wav_missing_file():
     with pytest.raises(AudioError):
         load_wav("/nonexistent/nothing.wav")
@@ -195,6 +206,14 @@ def test_mel_filterbank_geometry():
     assert np.all(fb >= 0)
     # filter 0 at fmin=0 is narrower than one FFT bin and may be empty
     assert np.all(fb[1:].sum(axis=1) > 0)
+
+
+def test_mel_filterbank_cached_read_only():
+    fb = mel_filterbank(CFG)
+    assert mel_filterbank(MelConfig()) is fb
+    with pytest.raises(ValueError):
+        fb[0, 0] = 1.0
+    assert mel_filterbank(MelConfig(n_mels=64)).shape == (64, CFG.fft_size // 2 + 1)
 
 
 def test_filter_centers_monotone():

@@ -2,11 +2,17 @@
 import numpy as np
 import pytest
 
-from coughmae.dsp import Waveform
+from coughmae.dsp import (MelConfig, Waveform, load_wav, log_mel_spectrogram,
+                          normalize, stats_from_values, synth_dataset)
 from coughmae.errors import DataError
-from coughmae.segment import (Event, F1Scores, SegmentationConfig, event_f1,
-                              interval_iou, merge_intervals, read_events_csv,
-                              sample_f1, slide, write_events_csv)
+from coughmae.finetune import (FinetuneConfig, build_scorer, classify,
+                               finetune_arrays, pool)
+from coughmae.mae import prepare_patches
+from coughmae.segment import (SCORE_CHUNK, Event, F1Scores, SegmentationConfig,
+                              event_f1, interval_iou, merge_intervals,
+                              per_window, read_events_csv, sample_f1, slide,
+                              write_events_csv)
+from coughmae.vit import EncoderParams, ModelConfig, embed, encode, patchify
 
 CFG = SegmentationConfig()          # window 0.4, step 0.01, threshold 0.5
 
@@ -72,13 +78,13 @@ def test_interval_iou():
 
 def test_slide_no_positive_windows():
     wave = ramp_wave(100)
-    assert slide(wave, lambda w: 0.0, CFG) == []
+    assert slide(wave, per_window(lambda w: 0.0), CFG) == []
 
 
 def test_slide_single_positive_window():
     # window 0.4 s at offset 0.10 s -> event spanning the window edges
     wave = ramp_wave(100)
-    events = slide(wave, offset_scorer([0.10]), CFG)
+    events = slide(wave, per_window(offset_scorer([0.10])), CFG)
     assert events == [Event(start=0.10, end=0.50)]
 
 
@@ -86,32 +92,32 @@ def test_slide_contiguous_windows_merge():
     # positives at offsets 0.10..0.20 -> one event from 0.10 to 0.20+0.4
     wave = ramp_wave(100)
     offsets = [round(0.10 + 0.01 * k, 2) for k in range(11)]
-    events = slide(wave, offset_scorer(offsets), CFG)
+    events = slide(wave, per_window(offset_scorer(offsets)), CFG)
     assert events == [Event(start=0.10, end=0.60)]
 
 
 def test_slide_separated_events():
     wave = ramp_wave(300)
-    events = slide(wave, offset_scorer([0.10, 1.0, 1.01]), CFG)
+    events = slide(wave, per_window(offset_scorer([0.10, 1.0, 1.01])), CFG)
     assert events == [Event(0.10, 0.50), Event(1.0, 1.41)]
 
 
 def test_slide_short_audio_yields_nothing():
     wave = ramp_wave(30)   # 0.3 s < 0.4 s window
-    assert slide(wave, lambda w: 1.0, CFG) == []
+    assert slide(wave, per_window(lambda w: 1.0), CFG) == []
 
 
 def test_slide_threshold_boundary():
     wave = ramp_wave(50)
-    hits = slide(wave, lambda w: 0.5, CFG)      # prob == threshold counts
+    hits = slide(wave, per_window(lambda w: 0.5), CFG)      # prob == threshold counts
     assert len(hits) == 1
-    assert slide(wave, lambda w: 0.4999, CFG) == []
+    assert slide(wave, per_window(lambda w: 0.4999), CFG) == []
 
 
 def test_slide_rejects_non_finite_scorer():
     wave = ramp_wave(50)
     with pytest.raises(DataError):
-        slide(wave, lambda w: float("nan"), CFG)
+        slide(wave, per_window(lambda w: float("nan")), CFG)
 
 
 def test_slide_output_invariants(rng):
@@ -122,7 +128,7 @@ def test_slide_output_invariants(rng):
         def scorer(w):
             return 1.0 if int(w.samples[0]) in marks else 0.0
 
-        events = slide(ramp_wave(n), scorer, CFG)
+        events = slide(ramp_wave(n), per_window(scorer), CFG)
         for a, b in zip(events, events[1:]):
             assert a.end < b.start                 # sorted, non-overlapping
         for ev in events:
@@ -144,13 +150,112 @@ def test_slide_shift_consistency(rng):
             return 1.0 if np.max(np.abs(w.samples)) > 10.0 else 0.0
 
         k = int(rng.integers(1, 30))
-        base = slide(Waveform(x, rate), scorer, CFG)
+        base = slide(Waveform(x, rate), per_window(scorer), CFG)
         delayed = np.concatenate([np.zeros(k * step_samples), x])
-        shifted = slide(Waveform(delayed, rate), scorer, CFG)
+        shifted = slide(Waveform(delayed, rate), per_window(scorer), CFG)
         assert len(base) == len(shifted)
         for ev, sv in zip(base, shifted):
             assert sv.start == pytest.approx(ev.start + k * CFG.step, abs=1e-9)
             assert sv.end == pytest.approx(ev.end + k * CFG.step, abs=1e-9)
+
+
+def test_slide_passes_bounded_ordered_chunks():
+    """Every window is scored exactly once, in order, at most SCORE_CHUNK per call."""
+    rate, n = 100, 20_000
+    wave = ramp_wave(n, rate)
+    calls = []
+
+    def recording_scorer(w, offsets, win):
+        assert w is wave and win == 40
+        calls.append(list(offsets))
+        return np.zeros(len(offsets))
+
+    assert slide(wave, recording_scorer, CFG) == []
+    assert max(len(c) for c in calls) <= SCORE_CHUNK
+    assert [o for c in calls for o in c] == list(range(0, n - 40 + 1, 1))
+
+
+def test_slide_names_offset_of_non_finite_probability():
+    def scorer(w, offsets, win):
+        return np.where(offsets == 37, np.nan, 0.0)
+
+    with pytest.raises(DataError, match="offset 37"):
+        slide(ramp_wave(100), scorer, CFG)
+
+
+def test_slide_rejects_wrong_probability_count():
+    with pytest.raises(DataError, match="probabilities"):
+        slide(ramp_wave(100), lambda w, offsets, win: np.zeros(1), CFG)
+
+
+# - batched model scorer -
+
+
+@pytest.fixture(scope="module")
+def trained_scorer(tmp_path_factory):
+    """A small classifier fine-tuned on window-length (38-frame) normalized
+    clips, its batched scorer, its per-window reference scorer, and a
+    recording of six clips from both classes."""
+    root = tmp_path_factory.mktemp("seg_model")
+    manifest = synth_dataset(root, 24, seed=41)
+    mel_cfg = MelConfig()
+    model_cfg = ModelConfig(dim=32, n_heads=2, n_blocks=1, decoder_dim=16,
+                            decoder_heads=2, decoder_blocks=1)
+    _, _, raw = prepare_patches(manifest, mel_cfg, 38, model_cfg)
+    stats = stats_from_values(raw)
+    patches, grid, _ = prepare_patches(manifest, mel_cfg, 38, model_cfg, stats=stats)
+    cfg = FinetuneConfig(epochs=20, batch_size=4, encoder_lr=1e-3, head_lr=1e-2,
+                         pooling="mean", warmup_frac=0.1)
+    result = finetune_arrays(EncoderParams(model_cfg, seed=0), patches,
+                             manifest.labels(), grid, np.arange(18),
+                             np.arange(18, 24), cfg, seed=0, select_best=False)
+    enc, head = result.encoder, result.head
+
+    def window_prob(window: Waveform) -> float:
+        """The per-window path: one log-mel and one batch-1 forward per window."""
+        spec = normalize(log_mel_spectrogram(window, mel_cfg), stats.mean, stats.std)
+        feats = encode(embed(patchify(spec, 16, 16), enc), enc)
+        return float(classify(pool(feats, "mean"), head).data[0, 1])
+
+    clips = [load_wav(manifest.resolve(e)).samples for e in manifest.entries[:6]]
+    recording = Waveform(np.concatenate(clips), mel_cfg.target_rate)
+    return build_scorer(enc, head, mel_cfg, "mean", stats), per_window(window_prob), recording
+
+
+@pytest.mark.parametrize("n_windows", [1, SCORE_CHUNK, SCORE_CHUNK + 1, None])
+def test_batched_scorer_matches_per_window(trained_scorer, n_windows):
+    batched, reference, recording = trained_scorer
+    win, step = 6400, 160
+    n = len(recording.samples) if n_windows is None else win + (n_windows - 1) * step
+    wave = Waveform(recording.samples[:n], recording.sample_rate)
+    offsets = np.arange(0, n - win + 1, step)
+    want = reference(wave, offsets, win)
+    got = np.concatenate([batched(wave, offsets[lo:lo + SCORE_CHUNK], win)
+                          for lo in range(0, len(offsets), SCORE_CHUNK)])
+    assert got.shape == want.shape == offsets.shape
+    assert np.max(np.abs(got - want)) <= 1e-12
+    strict = SegmentationConfig(threshold=0.8)
+    for cfg in (CFG, strict):
+        assert slide(wave, batched, cfg) == slide(wave, reference, cfg)
+    if n_windows is None:       # the full recording gives mixed decisions
+        assert want.min() < 0.1 and want.max() > 0.9
+        assert len(slide(wave, batched, strict)) >= 2
+
+
+def test_batched_scorer_off_hop_step(trained_scorer):
+    """A step that is no whole number of hops scores each window's own log-mel."""
+    batched, reference, recording = trained_scorer
+    offsets = np.array([0, 100, 250, 330])          # hop is 160 samples
+    got = batched(recording, offsets, 6400)
+    assert np.max(np.abs(got - reference(recording, offsets, 6400))) <= 1e-12
+    cfg = SegmentationConfig(step=0.0125)           # 200 samples
+    assert slide(recording, batched, cfg) == slide(recording, reference, cfg)
+
+
+def test_batched_scorer_short_audio(trained_scorer):
+    batched, _, recording = trained_scorer
+    short = Waveform(recording.samples[:6399], recording.sample_rate)
+    assert slide(short, batched, CFG) == []
 
 
 # - event_f1 -

@@ -204,3 +204,44 @@ def test_linear_matches_manual():
 def test_non_finite_op_result_raises():
     with pytest.raises(NumericsError):
         T.scale(t([1.0, 2.0]), float("inf"))
+
+
+# - no_grad -
+
+
+def test_no_grad_records_no_tape():
+    w = Parameter(np.array([[0.5, -1.0], [2.0, 0.25]]), "w")
+    x = t([[1.0, 2.0]])
+    with T.no_grad():
+        out = T.gelu(T.matmul(x, w))
+    assert not out.requires_grad and out._parents == () and out._vjps == ()
+    assert np.array_equal(out.data, T.gelu(T.matmul(x, w)).data)
+    assert T.gelu(T.matmul(x, w)).requires_grad      # the tape is back on
+
+
+def test_no_grad_restored_after_exception_and_nested():
+    w = Parameter(np.ones((2, 2)), "w")
+    with pytest.raises(NumericsError):
+        with T.no_grad():
+            with T.no_grad():
+                pass
+            assert not T.matmul(t([[1.0, 1.0]]), w).requires_grad
+            T.scale(t([1.0]), float("inf"))        # the finite check still runs
+    assert T.matmul(t([[1.0, 1.0]]), w).requires_grad
+
+
+def test_no_grad_leaves_grad_check_unchanged():
+    rng = seeded_rng(0, "test.mlp")
+    w1 = Tensor(truncated_normal(rng, (6, 8), 0.5))
+    w2 = Tensor(truncated_normal(rng, (8, 1), 0.5))
+
+    def mlp(x):
+        return T.reduce_sum(T.matmul(T.gelu(T.matmul(x, w1)), w2))
+
+    point = Tensor(seeded_rng(0, "test.mlp.point").normal(size=(3, 6)))
+    before = T.grad_check(mlp, point)
+    with pytest.raises(RuntimeError):
+        with T.no_grad():
+            mlp(point)
+            raise RuntimeError("leave the block early")
+    assert T.grad_check(mlp, point) == before < 1e-4

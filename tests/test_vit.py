@@ -60,6 +60,21 @@ def test_patchify_overlapping_stride():
     assert np.array_equal(ps.patches[4], values[8:24, 8:24].reshape(-1))
 
 
+def test_patchify_stacked_matches_per_spectrogram_loop():
+    stack = np.random.default_rng(1).normal(size=(3, 38, 40))
+    for side, stride in ((16, 16), (16, 8), (5, 3)):
+        ps = patchify(stack, side, stride)
+        rows, cols = ps.grid_shape
+        assert ps.patches.shape == (3, rows * cols, side * side)
+        for i in range(3):
+            for r in range(rows):
+                for c in range(cols):
+                    cell = stack[i, r * stride:r * stride + side, c * stride:c * stride + side]
+                    assert np.array_equal(ps.patches[i, r * cols + c], cell.reshape(-1))
+            assert np.array_equal(ps.patches[i],
+                                  patchify(MelSpectrogram(stack[i]), side, stride).patches)
+
+
 # - positional encodings -
 
 
