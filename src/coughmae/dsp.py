@@ -10,12 +10,12 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import os
+import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.io import wavfile
-from scipy.signal import upfirdn
 
 from .errors import AudioError, DataError, NumericsError
 from .rng import seeded_rng
@@ -93,46 +93,151 @@ class MelSpectrogram:
 # - WAV I/O -
 
 _INT_SCALE = {np.dtype(np.int16): 32768.0, np.dtype(np.int32): 2147483648.0}
+_WAVE_FORMAT_PCM = 0x0001
+_WAVE_FORMAT_IEEE_FLOAT = 0x0003
+_WAVE_FORMAT_EXTENSIBLE = 0xFFFE
+# Trailing 12 bytes of the KSDATAFORMAT_SUBTYPE GUIDs; the first 4 hold the format tag.
+_SUBTYPE_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+
+
+def _parse_fmt(body: bytes, path) -> tuple[int, int, int, int, int]:
+    """(rate, format tag, channels, block align, bits) from a fmt chunk body."""
+    if len(body) < 16:
+        raise AudioError(f"fmt chunk too short ({len(body)} bytes) in {path}")
+    tag, channels, rate, byte_rate, block_align, bits = struct.unpack_from("<HHIIHH", body)
+    if tag == _WAVE_FORMAT_EXTENSIBLE and len(body) >= 18:
+        ext_size = struct.unpack_from("<H", body, 16)[0]
+        if ext_size < 22 or len(body) < 40:
+            raise AudioError(f"truncated WAVE_FORMAT_EXTENSIBLE fmt chunk in {path}")
+        guid = body[24:40]
+        if guid.endswith(_SUBTYPE_GUID_TAIL):
+            tag = struct.unpack_from("<I", guid)[0]
+    if tag not in (_WAVE_FORMAT_PCM, _WAVE_FORMAT_IEEE_FLOAT):
+        raise AudioError(f"unsupported WAV format tag {tag:#06x} in {path}; "
+                         "only PCM and IEEE float are read")
+    if channels == 0 or block_align == 0 or block_align % channels:
+        raise AudioError(f"bad WAV block layout ({channels} channels, "
+                         f"block align {block_align}) in {path}")
+    if rate == 0:
+        raise AudioError(f"bad sample rate 0 in {path}")
+    if tag == _WAVE_FORMAT_PCM and byte_rate != rate * block_align:
+        raise AudioError(f"inconsistent WAV header in {path}: byte rate {byte_rate} "
+                         f"!= rate {rate} x block align {block_align}")
+    return rate, tag, channels, block_align, bits
+
+
+def _decode_pcm(raw: bytearray, tag: int, channels: int, block_align: int,
+                bits: int, path) -> np.ndarray:
+    """Sample array from data chunk bytes, with the dtypes scipy.io.wavfile uses:
+    uint8 for <= 8-bit PCM, int16/int32 for 16/32-bit, 24-bit as int32 with
+    the sample in the top three bytes, float32/float64 for IEEE float."""
+    width = block_align // channels
+    usable = len(raw) - len(raw) % block_align
+    if tag == _WAVE_FORMAT_IEEE_FLOAT and bits in (32, 64) and width in (4, 8):
+        data = np.frombuffer(raw, dtype=f"<f{width}", count=usable // width)
+    elif tag == _WAVE_FORMAT_PCM and 1 <= bits <= 8 and width == 1:
+        data = np.frombuffer(raw, dtype=np.uint8, count=usable)
+    elif tag == _WAVE_FORMAT_PCM and bits <= 8 * width and width in (2, 4):
+        data = np.frombuffer(raw, dtype=f"<i{width}", count=usable // width)
+    elif tag == _WAVE_FORMAT_PCM and bits <= 24 and width == 3:
+        packed = np.frombuffer(raw, dtype=np.uint8, count=usable).reshape(-1, 3)
+        wide = np.zeros((packed.shape[0], 4), dtype=np.uint8)
+        wide[:, 1:] = packed
+        data = wide.view("<i4").reshape(-1)
+    else:
+        kind = "float" if tag == _WAVE_FORMAT_IEEE_FLOAT else "PCM"
+        raise AudioError(f"unsupported WAV sample format: {bits}-bit {kind} "
+                         f"in {width}-byte containers in {path}")
+    data = data.astype(data.dtype.newbyteorder("="), copy=False)
+    return data.reshape(-1, channels) if channels > 1 else data
+
+
+def _read_wav(path) -> tuple[int, np.ndarray]:
+    """(rate, samples) of a RIFF/WAVE file, shaped (n,) or (n, channels).
+
+    Chunks before `data` other than `fmt ` are skipped, odd-sized ones
+    with their pad byte; nothing after `data` is read. A chunk that claims
+    more bytes than the file holds is an error before anything is allocated.
+    """
+    try:
+        with open(path, "rb") as fh:
+            file_size = os.fstat(fh.fileno()).st_size
+            head = fh.read(12)
+            if len(head) < 12 or head[:4] != b"RIFF" or head[8:12] != b"WAVE":
+                raise AudioError(f"not a RIFF/WAVE file: {path}")
+            fmt = None
+            while True:
+                chunk = fh.read(8)
+                if len(chunk) < 8:
+                    raise AudioError(f"no data chunk in {path}")
+                chunk_id, size = chunk[:4], struct.unpack("<I", chunk[4:])[0]
+                if chunk_id in (b"fmt ", b"data") and size > file_size - fh.tell():
+                    raise AudioError(f"truncated {chunk_id.decode().strip()} chunk in {path}: "
+                                     f"{size} bytes declared, {file_size - fh.tell()} present")
+                if chunk_id == b"fmt ":
+                    fmt = _parse_fmt(fh.read(size), path)
+                elif chunk_id == b"data":
+                    if fmt is None:
+                        raise AudioError(f"data chunk before fmt chunk in {path}")
+                    raw = bytearray(size)
+                    fh.readinto(raw)
+                    rate, *layout = fmt
+                    return rate, _decode_pcm(raw, *layout, path)
+                else:
+                    fh.seek(size, 1)
+                if size & 1:
+                    fh.seek(1, 1)
+    except OSError as exc:
+        raise AudioError(f"cannot read audio file: {path}: {exc.strerror or exc}") from None
 
 
 def load_wav(path) -> Waveform:
-    """Decode a PCM WAV file (8/16/24-bit int or 32-bit float), mixing to mono.
+    """Decode a RIFF/WAVE file, mixing to mono.
 
+    Reads PCM at 8 (unsigned), 16, 24 and 32 bits and IEEE float at 32 and
+    64 bits, as plain or WAVE_FORMAT_EXTENSIBLE headers, any channel count.
     Integer samples map to [-1, 1) by dividing by the type's full scale;
     float samples are clipped into [-1, 1], and a NaN or infinite float
-    sample is an AudioError. Multichannel input is averaged.
+    sample is an AudioError. Multichannel input is averaged. Every failure
+    is an AudioError that names the file.
     """
-    try:
-        rate, data = wavfile.read(str(path))
-    except FileNotFoundError:
-        raise AudioError(f"cannot read audio file: {path}") from None
-    except Exception as exc:
-        raise AudioError(f"unsupported or corrupt WAV {path}: {exc}") from None
+    rate, data = _read_wav(path)
     if data.size == 0:
         raise AudioError(f"zero-length audio: {path}")
     if data.dtype in _INT_SCALE:
         samples = data.astype(np.float64) / _INT_SCALE[data.dtype]
     elif data.dtype == np.uint8:
         samples = (data.astype(np.float64) - 128.0) / 128.0
-    elif data.dtype in (np.float32, np.float64):
+    else:
         if not np.isfinite(data).all():
             raise AudioError(f"non-finite samples in {path}")
         samples = np.clip(data.astype(np.float64), -1.0, 1.0)
-    else:
-        raise AudioError(f"unsupported WAV sample format {data.dtype} in {path}")
     if samples.ndim == 2:
         samples = samples.mean(axis=1)
     return Waveform(samples=samples, sample_rate=int(rate))
 
 
 def save_wav(path, wave: Waveform) -> None:
-    """Write 16-bit PCM mono; output bytes depend only on samples and rate."""
+    """Write 16-bit PCM mono; output bytes depend only on samples and rate.
+
+    The layout is the canonical 44-byte header (RIFF, a 16-byte `fmt `
+    chunk, `data`) followed by little-endian samples.
+    """
     clipped = np.clip(wave.samples, -1.0, 1.0)
-    ints = np.round(clipped * 32767.0).astype(np.int16)
-    wavfile.write(str(path), wave.sample_rate, ints)
+    pcm = np.round(clipped * 32767.0).astype("<i2").tobytes()
+    rate = wave.sample_rate
+    header = struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + len(pcm), b"WAVE",
+                         b"fmt ", 16, _WAVE_FORMAT_PCM, 1, rate, 2 * rate, 2, 16,
+                         b"data", len(pcm))
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(pcm)
 
 
 # - Resampling -
+
+# Output rows computed per matrix product, bounding the window copy it may make.
+_RESAMPLE_BLOCK = 4096
 
 
 def _resample_kernel(up: int, down: int) -> np.ndarray:
@@ -155,23 +260,43 @@ def resample(wave: Waveform, target_rate: int) -> Waveform:
     """Polyphase windowed-sinc resampling to target_rate.
 
     Output length is round(n * target / source), so duration is preserved
-    to within one sample period. Equal rates return the samples unchanged.
+    to within one sample period. Equal rates return `wave` itself, sharing
+    its samples. Otherwise output sample i is the kernel centred on input
+    time i * source / target: conceptually zero-stuff by `up`, filter and
+    keep every `down`-th sample, but each output only touches the kernel
+    taps of its own phase, so no upsampled signal is ever built.
     """
     if target_rate <= 0:
         raise AudioError(f"bad target rate {target_rate}")
     src = wave.sample_rate
     if src == target_rate:
-        return Waveform(samples=wave.samples.copy(), sample_rate=target_rate)
+        return wave
     g = math.gcd(src, target_rate)
     up, down = target_rate // g, src // g
     kernel = _resample_kernel(up, down)
     half = (len(kernel) - 1) // 2
-    out = upfirdn(kernel, wave.samples, up=up, down=down)
-    start = half // down
-    n_out = int(round(len(wave.samples) * target_rate / src))
-    if start + n_out > len(out):
-        raise AudioError("resample output shorter than expected")
-    return Waveform(samples=out[start:start + n_out], sample_rate=target_rate)
+    n_in = len(wave.samples)
+    n_out = int(round(n_in * target_rate / src))
+    # Phase p holds taps kernel[p], kernel[p + up], ...; reversed, so a
+    # forward window of the input lines up with them.
+    taps = -(-len(kernel) // up)
+    bank = np.zeros(taps * up)
+    bank[:len(kernel)] = kernel
+    bank = np.ascontiguousarray(bank.reshape(taps, up).T[:, ::-1])
+    # Output i sits at upsampled time t = half + i * down: phase t % up, and
+    # its window ends at input t // up, i.e. starts at padded index t // up.
+    last = (half + max(n_out - 1, 0) * down) // up
+    padded = np.zeros(taps - 1 + max(n_in, last + 1))
+    padded[taps - 1:taps - 1 + n_in] = wave.samples
+    windows = np.lib.stride_tricks.sliding_window_view(padded, taps)
+    out = np.empty(n_out)
+    for i0 in range(min(up, n_out)):
+        t0 = half + i0 * down
+        rows = windows[t0 // up::down][:len(range(i0, n_out, up))]
+        dest = out[i0::up]
+        for b in range(0, len(rows), _RESAMPLE_BLOCK):
+            dest[b:b + _RESAMPLE_BLOCK] = rows[b:b + _RESAMPLE_BLOCK] @ bank[t0 % up]
+    return Waveform(samples=out, sample_rate=target_rate)
 
 
 # - Log-mel spectrogram -

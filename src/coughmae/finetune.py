@@ -22,10 +22,10 @@ from .dsp import (DatasetManifest, MelConfig, Waveform, frame_count,
 from .errors import ConfigError, DataError, NumericsError, ShapeError
 from .mae import prepare_patches
 from .optim import AdamW, clip_grad_norm, warmup_cosine_lr
-from .rng import seeded_rng, truncated_normal
+from .rng import seeded_rng
 from .tensor import Parameter, Tensor
-from .vit import (INIT_STD, EncoderParams, FeatureSequence, ModelConfig,
-                  embed, encode, patchify)
+from .vit import (EncoderParams, FeatureSequence, ModelConfig, embed, encode,
+                  init_param, patchify)
 
 N_CLASSES = 2
 MAX_GRAD_NORM = 1.0   # ViT fine-tuning value, Dosovitskiy et al. 2021, App. B.1
@@ -54,9 +54,8 @@ class FinetuneConfig:
 class ClassifierHead:
     """Linear map from pooled features to two logits."""
 
-    def __init__(self, dim: int, seed: int, prefix: str = "head"):
-        rng = seeded_rng(seed, f"init.{prefix}.w")
-        self.w = Parameter(truncated_normal(rng, (dim, N_CLASSES), INIT_STD), f"{prefix}.w")
+    def __init__(self, dim: int, seed: int | None, prefix: str = "head"):
+        self.w = init_param(f"{prefix}.w", (dim, N_CLASSES), seed)
         self.b = Parameter(np.zeros(N_CLASSES), f"{prefix}.b")
 
     def parameters(self) -> list[Parameter]:
@@ -283,7 +282,7 @@ def finetune_arrays(encoder: EncoderParams, patches: np.ndarray, labels: np.ndar
 
 def encoder_from_checkpoint(ckpt: Checkpoint, model_cfg: ModelConfig) -> EncoderParams:
     """Rebuild an encoder from checkpoint arrays; shape mismatches are loud."""
-    encoder = EncoderParams(model_cfg, seed=0)
+    encoder = EncoderParams(model_cfg, seed=None)
     load_into(ckpt.arrays, encoder.parameters())
     return encoder
 
@@ -292,8 +291,8 @@ def classifier_from_checkpoint(ckpt: Checkpoint, model_cfg: ModelConfig):
     """Rebuild encoder + head + pooling mode + stats from a fine-tuned checkpoint."""
     if ckpt.config.get("kind") != "finetuned":
         raise DataError("checkpoint has no classifier head; fine-tune first")
-    encoder = EncoderParams(model_cfg, seed=0)
-    head = ClassifierHead(model_cfg.dim, seed=0)
+    encoder = EncoderParams(model_cfg, seed=None)
+    head = ClassifierHead(model_cfg.dim, seed=None)
     load_into(ckpt.arrays, encoder.parameters() + head.parameters())
     pooling = ckpt.config.get("finetune", {}).get("pooling", "cls")
     stats = None

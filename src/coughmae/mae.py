@@ -26,10 +26,10 @@ from .dsp import (DatasetManifest, MelConfig, fit_length, spectrogram_for_file,
                   stats_from_values)
 from .errors import ConfigError, DataError, NumericsError, ShapeError
 from .optim import AdamW, warmup_cosine_lr
-from .rng import seeded_rng, truncated_normal
+from .rng import seeded_rng
 from .tensor import Parameter, Tensor
-from .vit import (INIT_STD, BlockParams, EncoderParams, FeatureSequence,
-                  LinearParams, ModelConfig, TokenSequence, embed, encode,
+from .vit import (BlockParams, EncoderParams, FeatureSequence, LinearParams,
+                  ModelConfig, TokenSequence, embed, encode, init_param,
                   patchify, sinusoidal_positions, transformer_block)
 
 
@@ -83,11 +83,9 @@ class WindowConfig:
 class DecoderParams:
     """Mask token (encoder width), input projection, block stack, pixel head."""
 
-    def __init__(self, cfg: ModelConfig, seed: int):
+    def __init__(self, cfg: ModelConfig, seed: int | None):
         self.cfg = cfg
-        self.mask_token = Parameter(
-            truncated_normal(seeded_rng(seed, "init.decoder.mask_token"), (cfg.dim,), INIT_STD),
-            "decoder.mask_token")
+        self.mask_token = init_param("decoder.mask_token", (cfg.dim,), seed)
         self.in_proj = LinearParams("decoder.in_proj", cfg.dim, cfg.decoder_dim, seed)
         self.blocks = [BlockParams(f"decoder.blocks.{i}", cfg.decoder_dim, cfg.mlp_ratio, seed)
                        for i in range(cfg.decoder_blocks)]

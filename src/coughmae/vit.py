@@ -122,12 +122,22 @@ def sinusoidal_positions(n_positions: int, dim: int) -> np.ndarray:
 
 
 # - Parameters -
+#
+# A `seed` of None allocates every parameter without drawing from its init
+# stream: the model is about to be filled from a checkpoint.
+
+
+def init_param(name: str, shape, seed: int | None) -> Parameter:
+    """Truncated-normal(0, INIT_STD) weight drawn from stream init.<name>,
+    or zeros when seed is None."""
+    if seed is None:
+        return Parameter(np.zeros(shape), name)
+    return Parameter(truncated_normal(seeded_rng(seed, f"init.{name}"), shape, INIT_STD), name)
 
 
 class LinearParams:
-    def __init__(self, prefix: str, d_in: int, d_out: int, seed: int):
-        rng = seeded_rng(seed, f"init.{prefix}.w")
-        self.w = Parameter(truncated_normal(rng, (d_in, d_out), INIT_STD), f"{prefix}.w")
+    def __init__(self, prefix: str, d_in: int, d_out: int, seed: int | None):
+        self.w = init_param(f"{prefix}.w", (d_in, d_out), seed)
         self.b = Parameter(np.zeros(d_out), f"{prefix}.b")
 
     def parameters(self) -> list[Parameter]:
@@ -135,7 +145,7 @@ class LinearParams:
 
 
 class AttentionParams:
-    def __init__(self, prefix: str, dim: int, seed: int):
+    def __init__(self, prefix: str, dim: int, seed: int | None):
         self.wq = LinearParams(f"{prefix}.q", dim, dim, seed)
         self.wk = LinearParams(f"{prefix}.k", dim, dim, seed)
         self.wv = LinearParams(f"{prefix}.v", dim, dim, seed)
@@ -149,7 +159,7 @@ class AttentionParams:
 class BlockParams:
     """Pre-norm transformer block: LN -> MHA -> residual, LN -> MLP -> residual."""
 
-    def __init__(self, prefix: str, dim: int, mlp_ratio: int, seed: int):
+    def __init__(self, prefix: str, dim: int, mlp_ratio: int, seed: int | None):
         self.ln1_gain = Parameter(np.ones(dim), f"{prefix}.ln1.gain")
         self.ln1_bias = Parameter(np.zeros(dim), f"{prefix}.ln1.bias")
         self.attn = AttentionParams(f"{prefix}.attn", dim, seed)
@@ -167,11 +177,10 @@ class BlockParams:
 class EncoderParams:
     """Patch projection, CLS token, block stack and final norm."""
 
-    def __init__(self, cfg: ModelConfig, seed: int):
+    def __init__(self, cfg: ModelConfig, seed: int | None):
         self.cfg = cfg
         self.patch_proj = LinearParams("encoder.patch_proj", cfg.patch_values, cfg.dim, seed)
-        self.cls = Parameter(truncated_normal(seeded_rng(seed, "init.encoder.cls"),
-                                              (cfg.dim,), INIT_STD), "encoder.cls")
+        self.cls = init_param("encoder.cls", (cfg.dim,), seed)
         self.blocks = [BlockParams(f"encoder.blocks.{i}", cfg.dim, cfg.mlp_ratio, seed)
                        for i in range(cfg.n_blocks)]
         self.ln_gain = Parameter(np.ones(cfg.dim), "encoder.ln_f.gain")

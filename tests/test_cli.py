@@ -1,10 +1,15 @@
 """Command-line workflows, exit codes, and artifact determinism."""
 import json
+import os
+import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import coughmae
 from coughmae.cli import main
 from coughmae.config import RunConfig, serialize_config
 
@@ -111,6 +116,42 @@ def test_non_finite_wav_exit_2_names_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "pretrain", "--config", str(cfg))
     assert code == 2
     assert "nan.wav" in err
+
+
+
+def _fmt(tag: int = 1) -> bytes:
+    return b"fmt " + struct.pack("<IHHIIHH", 16, tag, 1, 16000, 32000, 2, 16)
+
+
+BAD_WAVS = {
+    "not_riff.wav": b"ID3\x04" + bytes(60),
+    "truncated_data.wav": b"RIFF" + struct.pack("<I", 36 + 3200) + b"WAVE" + _fmt()
+                          + b"data" + struct.pack("<I", 3200) + bytes(100),
+    "mp3_tag.wav": b"RIFF" + struct.pack("<I", 36 + 4) + b"WAVE" + _fmt(0x0055)
+                   + b"data" + struct.pack("<I", 4) + bytes(4),
+    "no_data.wav": b"RIFF" + struct.pack("<I", 28) + b"WAVE" + _fmt(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_WAVS))
+def test_bad_wav_exit_2_names_file(name, capsys, tmp_path):
+    (tmp_path / name).write_bytes(BAD_WAVS[name])
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(f"path,label,split\n{name},0,\n")
+    code, out, err = run_cli(capsys, "stats", "--manifest", str(manifest))
+    assert code == 2
+    assert name in err and out == ""
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(coughmae.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    probe = ("import coughmae.cli, sys; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, timeout=120, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 # - pretrain -

@@ -1,5 +1,6 @@
 """Audio loading, resampling, log-mel extraction, statistics, synthesis."""
 import math
+import struct
 import wave as wavemod
 
 import numpy as np
@@ -8,12 +9,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from coughmae.dsp import (DatasetManifest, ManifestEntry, MelConfig,
-                          MelSpectrogram, SynthSpec, Waveform, band_energy_ratios,
-                          dataset_stats, denormalize, fit_length, frame_count,
-                          load_manifest, load_wav, log_mel_spectrogram,
-                          mel_filter_centers, mel_filterbank, mel_inverse,
-                          mel_scale, normalize, resample, save_manifest,
-                          save_wav, stats_from_values, synth_dataset)
+                          MelSpectrogram, SynthSpec, Waveform, _read_wav,
+                          _resample_kernel, band_energy_ratios, dataset_stats,
+                          denormalize, fit_length, frame_count, load_manifest,
+                          load_wav, log_mel_spectrogram, mel_filter_centers,
+                          mel_filterbank, mel_inverse, mel_scale, normalize,
+                          resample, save_manifest, save_wav, stats_from_values,
+                          synth_dataset)
 from coughmae.errors import AudioError, DataError, NumericsError
 
 CFG = MelConfig()
@@ -89,6 +91,106 @@ def test_save_wav_deterministic_bytes(tmp_path):
     assert (tmp_path / "a.wav").read_bytes() == (tmp_path / "b.wav").read_bytes()
 
 
+# - WAV codec against scipy.io.wavfile -
+
+GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+
+
+def riff(chunks: list[tuple[bytes, bytes]]) -> bytes:
+    """RIFF/WAVE bytes from (id, body) chunks, odd bodies padded."""
+    body = b"".join(cid + struct.pack("<I", len(data)) + data + b"\x00" * (len(data) & 1)
+                    for cid, data in chunks)
+    return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
+
+
+def fmt_body(tag: int, channels: int, rate: int, width: int, bits: int,
+             extensible: bool = False) -> bytes:
+    align = channels * width
+    head = struct.pack("<HHIIHH", 0xFFFE if extensible else tag, channels, rate,
+                       rate * align, align, bits)
+    if not extensible:
+        return head
+    return head + struct.pack("<HHI", 22, bits, 0) + struct.pack("<I", tag) + GUID_TAIL
+
+
+def pcm_bytes(values: np.ndarray, width: int) -> bytes:
+    """Little-endian packing; 24-bit keeps the low three bytes of each int32."""
+    if width == 3:
+        return values.astype("<i4").view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
+    return values.tobytes()
+
+
+def wav_cases():
+    rng = np.random.default_rng(11)
+    u8 = rng.integers(0, 256, size=(57, 2)).astype(np.uint8)
+    i16 = rng.integers(-32768, 32768, size=57).astype("<i2")
+    i24 = rng.integers(-2 ** 23, 2 ** 23, size=(57, 3)).astype("<i4")
+    i32 = rng.integers(-2 ** 31, 2 ** 31, size=57).astype("<i4")
+    f32 = rng.uniform(-1, 1, size=(57, 2)).astype("<f4")
+    f64 = rng.uniform(-1, 1, size=57).astype("<f8")
+    # (label, tag, width, bits, samples, extensible, extra chunks before data)
+    return [
+        ("pcm8_stereo", 1, 1, 8, u8, False, []),
+        ("pcm16", 1, 2, 16, i16, False, []),
+        ("pcm24_3ch", 1, 3, 24, i24, False, []),
+        ("pcm32", 1, 4, 32, i32, False, []),
+        ("float32_stereo", 3, 4, 32, f32, False, [(b"fact", struct.pack("<I", 57))]),
+        ("float64", 3, 8, 64, f64, False, []),
+        ("ext_pcm16", 1, 2, 16, i16, True, []),
+        ("ext_pcm24_3ch", 1, 3, 24, i24, True, []),
+        ("ext_float32_stereo", 3, 4, 32, f32, True, []),
+        ("list_odd_before_data", 1, 2, 16, i16, False,
+         [(b"LIST", b"INFOISFT\x03\x00\x00\x00ab\x00"), (b"JUNK", b"\x00" * 5)]),
+    ]
+
+
+@pytest.mark.parametrize("case", wav_cases(), ids=lambda c: c[0])
+def test_read_wav_matches_scipy(case, tmp_path):
+    from scipy.io import wavfile
+    _, tag, width, bits, samples, extensible, extra = case
+    channels = 1 if samples.ndim == 1 else samples.shape[1]
+    p = tmp_path / "case.wav"
+    p.write_bytes(riff([(b"fmt ", fmt_body(tag, channels, 22050, width, bits, extensible)),
+                        *extra, (b"data", pcm_bytes(samples, width))]))
+    rate, data = _read_wav(p)
+    ref_rate, ref = wavfile.read(str(p))
+    assert rate == ref_rate == 22050
+    assert data.dtype == ref.dtype and data.shape == ref.shape
+    assert np.array_equal(data, ref)
+    mono = load_wav(p).samples
+    assert mono.shape == (57,) and np.all(np.abs(mono) <= 1.0)
+
+
+def test_read_wav_24bit_is_left_justified(tmp_path):
+    p = tmp_path / "i24.wav"
+    values = np.array([0, 1, -1, 2 ** 23 - 1, -2 ** 23], dtype="<i4")
+    p.write_bytes(riff([(b"fmt ", fmt_body(1, 1, 16000, 3, 24)),
+                        (b"data", pcm_bytes(values, 3))]))
+    _, data = _read_wav(p)
+    assert data.dtype == np.int32
+    assert np.array_equal(data, values * 256)
+    assert np.array_equal(load_wav(p).samples, values / 2.0 ** 23)
+
+
+def test_read_wav_skips_unknown_odd_chunk(tmp_path):
+    p = tmp_path / "odd.wav"
+    values = np.array([1, -2, 3], dtype="<i2")
+    p.write_bytes(riff([(b"abcd", b"xyz"), (b"fmt ", fmt_body(1, 1, 8000, 2, 16)),
+                        (b"data", values.tobytes()), (b"LIST", b"trailing")]))
+    rate, data = _read_wav(p)
+    assert rate == 8000 and np.array_equal(data, values)
+
+
+@pytest.mark.parametrize("n,rate", [(0, 16000), (1, 16000), (777, 16000), (4001, 44100)])
+def test_save_wav_bytes_match_scipy(n, rate, tmp_path):
+    from scipy.io import wavfile
+    x = np.sin(np.linspace(0, 30, n)) * 1.2
+    save_wav(tmp_path / "ours.wav", Waveform(x, rate))
+    ints = np.round(np.clip(x, -1.0, 1.0) * 32767.0).astype(np.int16)
+    wavfile.write(str(tmp_path / "ref.wav"), rate, ints)
+    assert (tmp_path / "ours.wav").read_bytes() == (tmp_path / "ref.wav").read_bytes()
+
+
 # - resampling -
 
 
@@ -96,7 +198,23 @@ def test_resample_identity():
     w = Waveform(np.sin(np.linspace(0, 10, 1600)), 16000)
     out = resample(w, 16000)
     assert out.sample_rate == 16000
-    assert np.array_equal(out.samples, w.samples)
+    assert out.samples is w.samples
+
+
+@pytest.mark.parametrize("src", [8000, 22050, 44100, 48000])
+@pytest.mark.parametrize("n", [1, 7, 1000, 30011])
+def test_resample_matches_upfirdn(src, n):
+    from scipy.signal import upfirdn
+    x = np.random.default_rng(src + n).uniform(-1, 1, n)
+    g = math.gcd(src, 16000)
+    up, down = 16000 // g, src // g
+    kernel = _resample_kernel(up, down)
+    start = (len(kernel) - 1) // 2 // down
+    n_out = int(round(n * 16000 / src))
+    ref = upfirdn(kernel, x, up=up, down=down)[start:start + n_out]
+    out = resample(Waveform(x, src), 16000)
+    assert out.sample_rate == 16000 and out.samples.shape == (n_out,)
+    assert np.all(np.abs(out.samples - ref) <= 1e-12)
 
 
 def test_resample_duration_preserved():

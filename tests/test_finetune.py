@@ -4,10 +4,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 import coughmae.tensor as T
+from coughmae import vit
+from coughmae.checkpoint import Checkpoint, load_into
 from coughmae.dsp import DatasetManifest, MelConfig, synth_dataset
 from coughmae.errors import ConfigError, DataError, NumericsError, ShapeError
 from coughmae.finetune import (ClassifierHead, EvalReport, FinetuneConfig,
-                               auroc, classify, cross_validate, finetune,
+                               auroc, classifier_from_checkpoint, classify,
+                               cross_validate, encoder_from_checkpoint, finetune,
                                finetune_arrays, kfold_split, pool)
 from coughmae.mae import prepare_patches
 from coughmae.optim import clip_grad_norm
@@ -242,6 +245,42 @@ def test_clip_leaves_small_gradient_bit_identical():
 def test_clip_rejects_non_finite_gradient():
     with pytest.raises(NumericsError):
         clip_grad_norm(grad_params([np.array([np.inf, 1.0])]), 1.0)
+
+
+# - Models from checkpoints -
+
+
+def finetuned_checkpoint(cfg: ModelConfig) -> Checkpoint:
+    params = EncoderParams(cfg, seed=5).parameters() + ClassifierHead(cfg.dim, seed=6).parameters()
+    return Checkpoint(config={"kind": "finetuned", "finetune": {"pooling": "mean"}},
+                      stats=None, arrays={p.name: p.data * 1.5 + 0.25 for p in params})
+
+
+def test_checkpoint_loaders_draw_no_init_values(monkeypatch):
+    cfg = ModelConfig()
+    ckpt = finetuned_checkpoint(cfg)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("init draw while loading a checkpoint")
+
+    monkeypatch.setattr(vit, "truncated_normal", no_draw)
+    encoder_from_checkpoint(ckpt, cfg)
+    classifier_from_checkpoint(ckpt, cfg)
+
+
+def test_loaded_models_bit_identical_to_seeded_then_loaded():
+    cfg = ModelConfig()
+    ckpt = finetuned_checkpoint(cfg)
+    ref_encoder, ref_head = EncoderParams(cfg, seed=0), ClassifierHead(cfg.dim, seed=0)
+    load_into(ckpt.arrays, ref_encoder.parameters() + ref_head.parameters())
+    encoder, head, pooling, _ = classifier_from_checkpoint(ckpt, cfg)
+    assert pooling == "mean"
+    for loaded in (encoder.parameters() + head.parameters(),
+                   encoder_from_checkpoint(ckpt, cfg).parameters()):
+        ref = (ref_encoder.parameters() + ref_head.parameters())[:len(loaded)]
+        assert [p.name for p in loaded] == [p.name for p in ref]
+        for got, want in zip(loaded, ref):
+            assert np.array_equal(got.data, want.data), got.name
 
 
 # - Fine-tuning loop -
