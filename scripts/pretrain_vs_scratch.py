@@ -19,7 +19,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from coughmae.checkpoint import load_checkpoint
 from coughmae.dsp import MelConfig, synth_dataset
-from coughmae.finetune import FinetuneConfig, finetune
+from coughmae.finetune import FinetuneConfig, prepare_finetune
 from coughmae.mae import PretrainConfig, pretrain
 from coughmae.rng import seeded_rng
 from coughmae.vit import ModelConfig
@@ -73,15 +73,13 @@ def main() -> int:
     # small batches buy enough optimizer steps for the 10-epoch budget
     ft_cfg = FinetuneConfig(pooling="mean", encoder_lr=3e-3, head_lr=3e-2,
                             batch_size=2, warmup_frac=0.2)
+    pretrained = prepare_finetune(ckpt, task, mel_cfg, model_cfg, ft_cfg)
+    scratch = prepare_finetune(None, task, mel_cfg, model_cfg, ft_cfg)
     rows = ["seed,pretrained_auroc,scratch_auroc"]
     pre_scores, scratch_scores = [], []
     for seed in range(args.seeds):
-        r_pre = finetune(ckpt, task, mel_cfg, model_cfg, ft_cfg, seed,
-                         train_idx=train_idx, val_idx=test_idx)
-        r_scr = finetune(None, task, mel_cfg, model_cfg, ft_cfg, seed,
-                         train_idx=train_idx, val_idx=test_idx)
-        pre_scores.append(r_pre.curve[-1])
-        scratch_scores.append(r_scr.curve[-1])
+        pre_scores.append(pretrained.run(train_idx, test_idx, ft_cfg, seed).curve[-1])
+        scratch_scores.append(scratch.run(train_idx, test_idx, ft_cfg, seed).curve[-1])
         rows.append(f"{seed},{pre_scores[-1]:.4f},{scratch_scores[-1]:.4f}")
         log(f"seed {seed}: pretrained {pre_scores[-1]:.4f} "
             f"vs scratch {scratch_scores[-1]:.4f}")

@@ -15,13 +15,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from coughmae.checkpoint import load_checkpoint
 from coughmae.dsp import MelConfig, load_manifest, synth_dataset
-from coughmae.finetune import FinetuneConfig, cross_validate
+from coughmae.finetune import FinetuneConfig, cross_validate, prepare_finetune
 from coughmae.mae import PretrainConfig, pretrain
 from coughmae.vit import ModelConfig
 
@@ -55,6 +56,7 @@ def main() -> int:
 
     mel_cfg = MelConfig()
     model_cfg = ModelConfig()
+    ft_cfg = FinetuneConfig(epochs=args.finetune_epochs, k_folds=args.k_folds)
     rows = ["mask_ratio,attention,pooling,mean_auroc,final_pretrain_loss"]
     curves: dict[str, list] = {}
 
@@ -69,14 +71,11 @@ def main() -> int:
                               args.seed, out_dir=pre_dir, log=log)
             pre_loss = result.history[-1]["loss"]
             curves[cell] = [h["loss"] for h in result.history]
-            ckpt = load_checkpoint(pre_dir / "checkpoint.bin")
+            data = prepare_finetune(load_checkpoint(pre_dir / "checkpoint.bin"), manifest,
+                                    mel_cfg, model_cfg, ft_cfg)
             for pooling in POOLINGS:
                 log(f"fine-tuning {cell} pooling={pooling}")
-                report = cross_validate(ckpt, manifest, mel_cfg, model_cfg,
-                                        FinetuneConfig(epochs=args.finetune_epochs,
-                                                       pooling=pooling,
-                                                       k_folds=args.k_folds),
-                                        args.seed)
+                report = cross_validate(data, replace(ft_cfg, pooling=pooling), args.seed)
                 rows.append(f"{rho},{attn},{pooling},"
                             f"{report.mean_auroc:.6f},{pre_loss:.6f}")
                 log(f"  mean auroc {report.mean_auroc:.4f}")

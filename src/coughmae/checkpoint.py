@@ -5,13 +5,21 @@ header, then raw little-endian float64 parameter blobs in manifest order.
 The header carries the run configuration, normalization statistics, a
 parameter manifest (name, shape, byte offset/size) and a SHA-256 of the
 blob section, so truncation or bit rot fails loudly at load time.
+
+A model checkpoint (save_model writes it, finetune.load_model rebuilds the
+model) describes itself. Header `config` keys: kind ("pretrain": encoder +
+decoder, or "finetuned": encoder + head), seed, mel (MelConfig fields),
+model (ModelConfig fields), then pretrain (PretrainConfig fields) or
+finetune (FinetuneConfig fields, pooling included) plus normalized (whether
+the model's input was normalized). Header `stats` is {mean, std} of the
+log-mel cells, null only for a fine-tuned model trained on raw input.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +68,16 @@ def save_checkpoint(path, params: dict[str, np.ndarray], config: dict,
         fh.write(struct.pack("<Q", len(header_bytes)))
         fh.write(header_bytes)
         fh.write(blob)
+
+
+def save_model(path, params, stats, kind: str, seed: int, mel_cfg, model_cfg,
+               **sections) -> None:
+    """Save Parameters under the model header; dataclass sections are stored as fields."""
+    config = {"kind": kind, "seed": seed, "mel": asdict(mel_cfg), "model": asdict(model_cfg)}
+    config.update({key: asdict(value) if is_dataclass(value) else value
+                   for key, value in sections.items()})
+    save_checkpoint(path, {p.name: p.data for p in params}, config,
+                    None if stats is None else {"mean": stats.mean, "std": stats.std})
 
 
 def load_checkpoint(path) -> Checkpoint:

@@ -17,16 +17,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_model
 from .config import RunConfig, load_config, serialize_config
-from .dsp import (DatasetStats, load_manifest, load_wav, resample,
-                  dataset_stats, synth_dataset)
+from .dsp import load_manifest, load_wav, resample, dataset_stats, synth_dataset
 from .errors import AudioError, ConfigError, CoughMaeError, DataError
-from .finetune import (build_scorer, classifier_from_checkpoint,
-                       cross_validate, encoder_from_checkpoint, finetune_arrays)
-from .mae import pretrain, prepare_patches
+from .finetune import (FinetuneData, build_scorer, cross_validate, load_model,
+                       prepare_finetune)
+from .mae import pretrain
 from .segment import event_f1, read_events_csv, sample_f1, slide, write_events_csv
-from .vit import EncoderParams
 
 
 def _log(message: str) -> None:
@@ -65,41 +63,29 @@ def cmd_finetune(args) -> int:
 
     init_arg = args.init or (cfg.paths.checkpoint or "scratch")
     ckpt = None if init_arg == "scratch" else load_checkpoint(init_arg)
-    report = cross_validate(ckpt, manifest, cfg.mel, cfg.model, cfg.finetune,
-                            cfg.seed, log=_log)
+    data = prepare_finetune(ckpt, manifest, cfg.mel, cfg.model, cfg.finetune)
+    report = cross_validate(data, cfg.finetune, cfg.seed, log=_log)
     (out_dir / "eval_report.json").write_text(report.to_json())
     (out_dir / "eval_report.csv").write_text(report.to_csv())
     _log(f"mean auroc {report.mean_auroc:.4f} over {cfg.finetune.k_folds} folds "
          f"(pooling={report.pooling}, init={report.init_kind})")
 
     if args.final_model:
-        _train_final_model(cfg, manifest, ckpt, report, out_dir)
+        _train_final_model(cfg, data, report, out_dir)
     print(out_dir / "eval_report.json")
     return 0
 
 
-def _train_final_model(cfg: RunConfig, manifest, ckpt, report, out_dir: Path) -> None:
+def _train_final_model(cfg: RunConfig, data: FinetuneData, report, out_dir: Path) -> None:
     """Retrain on all labelled data for the mean best epoch count and save it."""
-    stats = None
-    normalized = ckpt is not None
-    if ckpt is not None:
-        stats = DatasetStats(mean=ckpt.stats["mean"], std=ckpt.stats["std"])
-    patches, grid_shape, _ = prepare_patches(manifest, cfg.mel, cfg.finetune.target_frames,
-                                             cfg.model, stats=stats)
-    labels = manifest.labels()
     epochs = max(1, int(round(float(np.mean([e + 1 for e in report.best_epochs])))))
     ft_cfg = dataclasses.replace(cfg.finetune, epochs=epochs)
-    encoder = (encoder_from_checkpoint(ckpt, cfg.model) if ckpt is not None
-               else EncoderParams(cfg.model, cfg.seed))
-    all_idx = np.arange(len(labels))
-    result = finetune_arrays(encoder, patches, labels, grid_shape, all_idx, all_idx,
-                             ft_cfg, cfg.seed, select_best=False)
-    config = {"kind": "finetuned", "seed": cfg.seed,
-              "mel": dataclasses.asdict(cfg.mel), "model": dataclasses.asdict(cfg.model),
-              "finetune": dataclasses.asdict(ft_cfg), "normalized": normalized}
-    params = {p.name: p.data for p in result.encoder.parameters() + result.head.parameters()}
-    save_checkpoint(out_dir / "model.bin", params, config,
-                    None if stats is None else {"mean": stats.mean, "std": stats.std})
+    all_idx = np.arange(len(data.labels))
+    result = data.run(all_idx, all_idx, ft_cfg, cfg.seed, select_best=False)
+    stats = None if data.init is None else data.init.stats
+    save_model(out_dir / "model.bin", result.encoder.parameters() + result.head.parameters(),
+               stats, "finetuned", cfg.seed, cfg.mel, cfg.model,
+               finetune=ft_cfg, normalized=stats is not None)
     _log(f"final model retrained for {epochs} epochs -> {out_dir / 'model.bin'}")
 
 
@@ -108,9 +94,13 @@ def cmd_segment(args) -> int:
     ckpt_path = args.checkpoint or cfg.paths.checkpoint
     if not ckpt_path:
         raise ConfigError("segment needs a fine-tuned checkpoint (--checkpoint or paths.checkpoint)")
+    # Referenced until the end: freed before slide(), its arrays leave glibc
+    # trimming and refaulting the heap on every chunk (2.2x the page faults).
     ckpt = load_checkpoint(ckpt_path)
-    encoder, head, pooling, stats = classifier_from_checkpoint(ckpt, cfg.model)
-    scorer = build_scorer(encoder, head, cfg.mel, pooling, stats)
+    model = load_model(ckpt, cfg.mel, cfg.model)
+    if model.head is None:
+        raise DataError("checkpoint has no classifier head; fine-tune first")
+    scorer = build_scorer(model.encoder, model.head, cfg.mel, model.pooling, model.stats)
     wave = resample(load_wav(args.audio), cfg.mel.target_rate)
     events = slide(wave, scorer, cfg.segment)
     out_dir = Path(cfg.paths.output_dir)

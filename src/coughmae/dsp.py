@@ -483,28 +483,20 @@ class DatasetStats:
 
 
 def dataset_stats(manifest: DatasetManifest, cfg: MelConfig) -> DatasetStats:
-    """Population mean/std over every spectrogram cell in the manifest.
+    """Population mean/std over every spectrogram cell in the manifest."""
+    return stats_from_values({e.path: spectrogram_for_file(manifest.resolve(e), cfg).values
+                              for e in manifest.entries})
 
-    Entries are reduced in sorted-path order, so the result is independent
-    of manifest ordering. An all-equal dataset is flagged degenerate.
+
+def stats_from_values(values: dict[str, np.ndarray]) -> DatasetStats:
+    """Population mean/std over spectrogram values keyed by manifest path.
+
+    Arrays are reduced in sorted-path order, so the bits do not depend on
+    manifest ordering. An all-equal dataset is flagged degenerate.
     """
-    if len(manifest) == 0:
-        raise DataError("dataset_stats on an empty manifest")
-    ordered = sorted(manifest.entries, key=lambda e: e.path)
-    cells = [log_mel_spectrogram(
-        resample(load_wav(manifest.resolve(e)), cfg.target_rate), cfg).values.ravel()
-        for e in ordered]
-    flat = np.concatenate(cells)
-    mean = float(flat.mean())
-    std = float(flat.std())
-    return DatasetStats(mean=mean, std=std, degenerate=(std == 0.0))
-
-
-def stats_from_values(value_arrays: list[np.ndarray]) -> DatasetStats:
-    """Same statistic as dataset_stats over already-computed spectrogram values."""
-    if not value_arrays:
+    if not values:
         raise DataError("stats over an empty collection")
-    flat = np.concatenate([v.ravel() for v in value_arrays])
+    flat = np.concatenate([values[path].ravel() for path in sorted(values)])
     mean = float(flat.mean())
     std = float(flat.std())
     return DatasetStats(mean=mean, std=std, degenerate=(std == 0.0))

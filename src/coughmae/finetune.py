@@ -11,21 +11,22 @@ weights are kept.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import tensor as T
 from .checkpoint import Checkpoint, load_into
-from .dsp import (DatasetManifest, MelConfig, Waveform, frame_count,
+from .dsp import (DatasetManifest, DatasetStats, MelConfig, Waveform, frame_count,
                   log_mel_spectrogram, normalize)
-from .errors import ConfigError, DataError, NumericsError, ShapeError
+from .errors import (CheckpointError, ConfigError, CoughMaeError, DataError,
+                     NumericsError, ShapeError)
 from .mae import prepare_patches
 from .optim import AdamW, clip_grad_norm, warmup_cosine_lr
 from .rng import seeded_rng
 from .tensor import Parameter, Tensor
-from .vit import (EncoderParams, FeatureSequence, ModelConfig, embed, encode,
-                  init_param, patchify)
+from .vit import (EncoderParams, LinearParams, ModelConfig, TokenSequence, embed,
+                  encode, patchify)
 
 N_CLASSES = 2
 MAX_GRAD_NORM = 1.0   # ViT fine-tuning value, Dosovitskiy et al. 2021, App. B.1
@@ -51,18 +52,14 @@ class FinetuneConfig:
             raise ConfigError("epochs/batch_size must be positive and k_folds >= 2")
 
 
-class ClassifierHead:
+class ClassifierHead(LinearParams):
     """Linear map from pooled features to two logits."""
 
-    def __init__(self, dim: int, seed: int | None, prefix: str = "head"):
-        self.w = init_param(f"{prefix}.w", (dim, N_CLASSES), seed)
-        self.b = Parameter(np.zeros(N_CLASSES), f"{prefix}.b")
-
-    def parameters(self) -> list[Parameter]:
-        return [self.w, self.b]
+    def __init__(self, dim: int, seed: int | None):
+        super().__init__("head", dim, N_CLASSES, seed)
 
 
-def pool(feats: FeatureSequence, mode: str) -> Tensor:
+def pool(feats: TokenSequence, mode: str) -> Tensor:
     """Collapse a feature sequence to one vector per sample.
 
     'cls' takes the CLS slot; 'mean' averages the patch features (CLS
@@ -72,12 +69,12 @@ def pool(feats: FeatureSequence, mode: str) -> Tensor:
     if mode == "cls":
         if not feats.has_cls:
             raise ShapeError("cls pooling on a sequence without a CLS token")
-        picked = T.gather(feats.features, np.array([0], dtype=np.intp), axis=1)
-        return T.reshape(picked, (feats.features.shape[0], feats.features.shape[2]))
+        picked = T.gather(feats.tokens, np.array([0], dtype=np.intp), axis=1)
+        return T.reshape(picked, (feats.tokens.shape[0], feats.tokens.shape[2]))
     if mode == "mean":
         offset = 1 if feats.has_cls else 0
         idx = np.arange(offset, offset + feats.n_patches, dtype=np.intp)
-        patch_feats = T.gather(feats.features, idx, axis=1)
+        patch_feats = T.gather(feats.tokens, idx, axis=1)
         return _order_invariant_mean(patch_feats)
     raise ConfigError(f"unknown pooling mode {mode!r}")
 
@@ -280,26 +277,47 @@ def finetune_arrays(encoder: EncoderParams, patches: np.ndarray, labels: np.ndar
                           train_loss=train_loss)
 
 
-def encoder_from_checkpoint(ckpt: Checkpoint, model_cfg: ModelConfig) -> EncoderParams:
-    """Rebuild an encoder from checkpoint arrays; shape mismatches are loud."""
-    encoder = EncoderParams(model_cfg, seed=None)
-    load_into(ckpt.arrays, encoder.parameters())
-    return encoder
+# - Models from checkpoints -
 
 
-def classifier_from_checkpoint(ckpt: Checkpoint, model_cfg: ModelConfig):
-    """Rebuild encoder + head + pooling mode + stats from a fine-tuned checkpoint."""
-    if ckpt.config.get("kind") != "finetuned":
-        raise DataError("checkpoint has no classifier head; fine-tune first")
+@dataclass
+class Model:
+    """A network rebuilt from a checkpoint."""
+
+    encoder: EncoderParams
+    head: ClassifierHead | None   # fine-tuned checkpoints only
+    pooling: str
+    stats: DatasetStats | None    # None: the model takes raw log-mels
+
+
+def load_model(ckpt: Checkpoint, mel_cfg: MelConfig, model_cfg: ModelConfig) -> Model:
+    """Rebuild the model a checkpoint header describes (keys: see checkpoint).
+
+    The header's mel and model sections are what the model was trained
+    with; a caller config that differs from either is a ConfigError naming
+    the first differing field. Only a fine-tuned model trained on raw input
+    may lack stats. Parameters are allocated without init draws, then
+    filled from the checkpoint arrays.
+    """
+    for key, run_cfg in (("mel", mel_cfg), ("model", model_cfg)):
+        try:
+            stored = type(run_cfg)(**ckpt.config[key])
+        except (KeyError, TypeError, CoughMaeError) as exc:
+            raise CheckpointError(f"checkpoint header: missing or bad {key!r} section ({exc})") from None
+        for f in fields(stored):
+            have, want = getattr(run_cfg, f.name), getattr(stored, f.name)
+            if have != want:
+                raise ConfigError(f"config {key}.{f.name} is {have!r} but the checkpoint "
+                                  f"was trained with {want!r}")
+    finetuned = ckpt.config.get("kind") == "finetuned"
+    if ckpt.stats is None and not finetuned:
+        raise DataError("checkpoint has no normalization statistics; cannot fine-tune from it")
     encoder = EncoderParams(model_cfg, seed=None)
-    head = ClassifierHead(model_cfg.dim, seed=None)
-    load_into(ckpt.arrays, encoder.parameters() + head.parameters())
+    head = ClassifierHead(model_cfg.dim, seed=None) if finetuned else None
+    load_into(ckpt.arrays, encoder.parameters() + (head.parameters() if finetuned else []))
+    stats = None if ckpt.stats is None else DatasetStats(**ckpt.stats)
     pooling = ckpt.config.get("finetune", {}).get("pooling", "cls")
-    stats = None
-    if ckpt.config.get("normalized") and ckpt.stats is not None:
-        from .dsp import DatasetStats
-        stats = DatasetStats(mean=ckpt.stats["mean"], std=ckpt.stats["std"])
-    return encoder, head, pooling, stats
+    return Model(encoder=encoder, head=head, pooling=pooling, stats=stats)
 
 
 def build_scorer(encoder: EncoderParams, head: ClassifierHead, mel_cfg: MelConfig,
@@ -347,36 +365,55 @@ def build_scorer(encoder: EncoderParams, head: ClassifierHead, mel_cfg: MelConfi
     return scorer
 
 
+@dataclass
+class FinetuneData:
+    """A labelled corpus featurized once for every fine-tuning run of a
+    command, and the model each run starts from (None: scratch)."""
+
+    patches: np.ndarray
+    grid_shape: tuple[int, int]
+    labels: np.ndarray
+    model_cfg: ModelConfig
+    init: Model | None
+
+    def run(self, train_idx, val_idx, cfg: FinetuneConfig, seed: int,
+            **kwargs) -> FinetuneResult:
+        """finetune_arrays from a fresh encoder: a copy of the init's, or drawn from seed."""
+        encoder = EncoderParams(self.model_cfg, seed if self.init is None else None)
+        if self.init is not None:
+            load_into({p.name: p.data for p in self.init.encoder.parameters()},
+                      encoder.parameters())
+        return finetune_arrays(encoder, self.patches, self.labels, self.grid_shape,
+                               train_idx, val_idx, cfg, seed, **kwargs)
+
+
+def prepare_finetune(init: Checkpoint | None, manifest: DatasetManifest,
+                     mel_cfg: MelConfig, model_cfg: ModelConfig,
+                     cfg: FinetuneConfig) -> FinetuneData:
+    """Load the init checkpoint (None: scratch) and featurize the corpus, normalized
+    with the checkpoint's statistics when it has them (left raw from scratch)."""
+    model = None if init is None else load_model(init, mel_cfg, model_cfg)
+    patches, grid_shape, _ = prepare_patches(manifest, mel_cfg, cfg.target_frames, model_cfg,
+                                             stats=None if model is None else model.stats)
+    return FinetuneData(patches=patches, grid_shape=grid_shape, labels=manifest.labels(),
+                        model_cfg=model_cfg, init=model)
+
+
 def finetune(init, manifest: DatasetManifest, mel_cfg: MelConfig,
              model_cfg: ModelConfig, cfg: FinetuneConfig, seed: int,
              train_idx=None, val_idx=None, log=None) -> FinetuneResult:
-    """Fine-tune from a pretraining Checkpoint or from scratch (init=None).
+    """Fine-tune from a Checkpoint or from scratch (init=None), as prepare_finetune sets up.
 
-    From a checkpoint, spectrograms are normalized with the checkpoint's
-    stored statistics; from scratch they are left raw. Without explicit
-    index lists, entries tagged split=train/val are used.
+    Without explicit index lists, entries tagged split=train/val are used.
     """
-    stats = None
-    if init is not None:
-        if init.stats is None or "mean" not in init.stats:
-            raise DataError("checkpoint has no normalization statistics; cannot fine-tune from it")
-        from .dsp import DatasetStats
-        stats = DatasetStats(mean=init.stats["mean"], std=init.stats["std"])
-    patches, grid_shape, _ = prepare_patches(manifest, mel_cfg, cfg.target_frames,
-                                             model_cfg, stats=stats)
-    labels = manifest.labels()
     if train_idx is None or val_idx is None:
         split_of = [e.split for e in manifest.entries]
         train_idx = [i for i, s in enumerate(split_of) if s == "train"]
         val_idx = [i for i, s in enumerate(split_of) if s in ("val", "test")]
         if not train_idx or not val_idx:
             raise DataError("manifest lacks train/val split tags and no indices were given")
-    if init is not None:
-        encoder = encoder_from_checkpoint(init, model_cfg)
-    else:
-        encoder = EncoderParams(model_cfg, seed)
-    return finetune_arrays(encoder, patches, labels, grid_shape, train_idx, val_idx,
-                           cfg, seed, log=log)
+    return prepare_finetune(init, manifest, mel_cfg, model_cfg, cfg).run(
+        train_idx, val_idx, cfg, seed, log=log)
 
 
 # - Cross-validation -
@@ -411,39 +448,24 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-def cross_validate(init, manifest: DatasetManifest, mel_cfg: MelConfig,
-                   model_cfg: ModelConfig, cfg: FinetuneConfig, seed: int,
+def cross_validate(data: FinetuneData, cfg: FinetuneConfig, seed: int,
                    log=None) -> EvalReport:
     """Stratified k-fold fine-tuning; each fold starts from the same init.
 
-    init is a pretraining Checkpoint or None for scratch. Fold f trains on
-    the other folds and validates on fold f.
+    Fold f trains on the other folds and validates on fold f.
     """
-    stats = None
-    if init is not None:
-        if init.stats is None:
-            raise DataError("checkpoint has no normalization statistics")
-        from .dsp import DatasetStats
-        stats = DatasetStats(mean=init.stats["mean"], std=init.stats["std"])
-    patches, grid_shape, _ = prepare_patches(manifest, mel_cfg, cfg.target_frames,
-                                             model_cfg, stats=stats)
-    labels = manifest.labels()
-    split = kfold_split(labels, cfg.k_folds, seed)
+    split = kfold_split(data.labels, cfg.k_folds, seed)
     fold_auroc, best_epochs, curves = [], [], []
     for f, fold in enumerate(split.folds):
         val_idx = np.array(fold, dtype=np.intp)
-        train_idx = np.array(sorted(set(range(len(labels))) - set(fold)), dtype=np.intp)
-        if init is not None:
-            encoder = encoder_from_checkpoint(init, model_cfg)
-        else:
-            encoder = EncoderParams(model_cfg, seed=seed * 1000 + f)
-        result = finetune_arrays(encoder, patches, labels, grid_shape, train_idx,
-                                 val_idx, cfg, seed=seed * 1000 + f,
-                                 log=(lambda m, f=f: log(f"fold {f}: {m}")) if log else None)
+        train_idx = np.array(sorted(set(range(len(data.labels))) - set(fold)), dtype=np.intp)
+        fold_seed = seed * 1000 + f
+        result = data.run(train_idx, val_idx, cfg, fold_seed,
+                          log=(lambda m, f=f: log(f"fold {f}: {m}")) if log else None)
         fold_auroc.append(result.best_auroc)
         best_epochs.append(result.best_epoch)
         curves.append(result.curve)
     return EvalReport(pooling=cfg.pooling, fold_auroc=fold_auroc,
                       best_epochs=best_epochs, curves=curves,
                       mean_auroc=float(np.mean(fold_auroc)),
-                      init_kind="pretrained" if init is not None else "scratch")
+                      init_kind="pretrained" if data.init is not None else "scratch")

@@ -21,16 +21,16 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import save_checkpoint
-from .dsp import (DatasetManifest, MelConfig, fit_length, spectrogram_for_file,
-                  stats_from_values)
+from .checkpoint import save_model
+from .dsp import (DatasetManifest, MelConfig, fit_length, normalize,
+                  spectrogram_for_file, stats_from_values)
 from .errors import ConfigError, DataError, NumericsError, ShapeError
 from .optim import AdamW, warmup_cosine_lr
 from .rng import seeded_rng
 from .tensor import Parameter, Tensor
-from .vit import (BlockParams, EncoderParams, FeatureSequence, LinearParams,
-                  ModelConfig, TokenSequence, embed, encode, init_param,
-                  patchify, sinusoidal_positions, transformer_block)
+from .vit import (BlockParams, EncoderParams, LinearParams, ModelConfig,
+                  TokenSequence, embed, encode, init_param, patchify,
+                  sinusoidal_positions, transformer_block)
 
 
 @dataclass(frozen=True)
@@ -101,12 +101,12 @@ class DecoderParams:
         return out
 
 
-def restore_with_mask_tokens(feats: FeatureSequence, plan: MaskPlan,
+def restore_with_mask_tokens(feats: TokenSequence, plan: MaskPlan,
                              dec: DecoderParams) -> TokenSequence:
     """Rebuild the full-length sequence: encoded features at their original
     slots, the shared mask token at masked slots, then decoder positional
     encodings over the restored order (CLS keeps position 0)."""
-    x = feats.features
+    x = feats.tokens
     batch = x.shape[0]
     offset = 1 if feats.has_cls else 0
     expected = offset + len(plan.visible)
@@ -248,22 +248,21 @@ def build_pretrain_model(model_cfg: ModelConfig, seed: int) -> tuple[EncoderPara
 
 
 def prepare_patches(manifest: DatasetManifest, mel_cfg: MelConfig, target_frames: int,
-                    model_cfg: ModelConfig, stats=None) -> tuple[np.ndarray, tuple[int, int], list]:
+                    model_cfg: ModelConfig, stats=None) -> tuple[np.ndarray, tuple[int, int], dict]:
     """Feature-extract every manifest entry into one (n, patches, values) array.
 
     Returns the stacked patches, the patch grid shape, and the raw
-    spectrogram values (pre fit_length) for statistics.
+    spectrogram values (pre fit_length) keyed by entry path, for statistics.
     """
     if len(manifest) == 0:
         raise DataError("empty manifest")
-    from .dsp import normalize as normalize_spec
     fitted = []
-    raw_values = []
+    raw_values = {}
     for entry in manifest.entries:
         spec = spectrogram_for_file(manifest.resolve(entry), mel_cfg)
-        raw_values.append(spec.values)
+        raw_values[entry.path] = spec.values
         if stats is not None:
-            spec = normalize_spec(spec, stats.mean, stats.std)
+            spec = normalize(spec, stats.mean, stats.std)
         fitted.append(fit_length(spec, target_frames, mel_cfg.log_floor).values)
     ps = patchify(np.stack(fitted), model_cfg.patch_size, model_cfg.patch_stride)
     return ps.patches, ps.grid_shape, raw_values
@@ -336,20 +335,10 @@ def pretrain(manifest: DatasetManifest, mel_cfg: MelConfig, model_cfg: ModelConf
             log(f"epoch {epoch + 1}/{cfg.epochs} loss {history[-1]['loss']:.6f} "
                 f"({time.monotonic() - started:.1f}s)")
         if out_dir is not None:
-            _write_pretrain_artifacts(out_dir, encoder, decoder, mel_cfg, model_cfg,
-                                      cfg, seed, stats, history)
+            save_model(out_dir / "checkpoint.bin", params, stats, "pretrain", seed,
+                       mel_cfg, model_cfg, pretrain=cfg)
+            write_loss_csv(out_dir / "loss.csv", history)
     return PretrainResult(encoder=encoder, decoder=decoder, stats=stats, history=history)
-
-
-def _write_pretrain_artifacts(out_dir: Path, encoder, decoder, mel_cfg, model_cfg,
-                              cfg, seed, stats, history) -> None:
-    from dataclasses import asdict
-    config = {"kind": "pretrain", "seed": seed, "mel": asdict(mel_cfg),
-              "model": asdict(model_cfg), "pretrain": asdict(cfg)}
-    params = {p.name: p.data for p in encoder.parameters() + decoder.parameters()}
-    save_checkpoint(out_dir / "checkpoint.bin", params, config,
-                    {"mean": stats.mean, "std": stats.std})
-    write_loss_csv(out_dir / "loss.csv", history)
 
 
 def write_loss_csv(path, history: list[dict]) -> None:

@@ -199,9 +199,10 @@ class EncoderParams:
 
 @dataclass
 class TokenSequence:
-    """Batched embedded tokens (batch, tokens, dim); CLS occupies slot 0 when present.
+    """Batched tokens (batch, tokens, dim): embedded patches or encoder output.
 
-    Patch p always carries positional encoding p + 1, CLS carries encoding 0.
+    CLS occupies slot 0 when present. Patch p always carries positional
+    encoding p + 1, CLS carries encoding 0.
     """
 
     tokens: Tensor
@@ -210,22 +211,9 @@ class TokenSequence:
     grid_shape: tuple[int, int] | None = None
 
     @property
-    def length(self) -> int:
-        return self.tokens.shape[1]
-
-
-@dataclass
-class FeatureSequence:
-    """Encoder output, same layout as the TokenSequence it came from."""
-
-    features: Tensor
-    has_cls: bool
-    n_patches: int
-    grid_shape: tuple[int, int] | None = None
-
-    @property
-    def length(self) -> int:
-        return self.features.shape[1]
+    def features(self) -> Tensor:
+        """The tokens, under the name readers of encoder output use."""
+        return self.tokens
 
 
 def embed(patches, params: EncoderParams, with_cls: bool = True,
@@ -304,11 +292,11 @@ def transformer_block(x: Tensor, block: BlockParams, n_heads: int,
 
 
 def encode(seq: TokenSequence, params: EncoderParams,
-           weights_sink: list | None = None) -> FeatureSequence:
+           weights_sink: list | None = None) -> TokenSequence:
     """Run the pre-norm block stack plus final layer norm (global attention)."""
     x = seq.tokens
     for block in params.blocks:
         x = transformer_block(x, block, params.cfg.n_heads, None, weights_sink)
     x = T.layer_norm(x, params.ln_gain, params.ln_bias)
-    return FeatureSequence(features=x, has_cls=seq.has_cls,
-                           n_patches=seq.n_patches, grid_shape=seq.grid_shape)
+    return TokenSequence(tokens=x, has_cls=seq.has_cls,
+                         n_patches=seq.n_patches, grid_shape=seq.grid_shape)

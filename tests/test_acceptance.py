@@ -28,7 +28,7 @@ from coughmae.rng import seeded_rng
 from coughmae.segment import (Event, F1Scores, SegmentationConfig, event_f1,
                               per_window, sample_f1, slide)
 from coughmae.tensor import Tensor
-from coughmae.vit import (EncoderParams, FeatureSequence, ModelConfig, embed,
+from coughmae.vit import (EncoderParams, ModelConfig, TokenSequence, embed,
                           encode, patch_grid)
 
 
@@ -220,7 +220,7 @@ def test_criterion_6_ablation_matrix(tmp_path):
     _, dec = build_pretrain_model(cfg, seed=0)
     feats = np.random.default_rng(1).normal(size=(1, 49, cfg.dim))
     plan = sample_mask(48, 0.75, seeded_rng(1, "acceptance.windows"))
-    fs = FeatureSequence(Tensor(feats[:, :1 + len(plan.visible)]), True, 48, (6, 8))
+    fs = TokenSequence(Tensor(feats[:, :1 + len(plan.visible)]), True, 48, (6, 8))
     restored = restore_with_mask_tokens(fs, plan, dec)
     sink: list = []
     decode(restored, dec, mode="windowed", weights_sink=sink)

@@ -10,8 +10,14 @@ import numpy as np
 import pytest
 
 import coughmae
+import coughmae.finetune
+import coughmae.mae
+from coughmae.checkpoint import load_checkpoint, save_checkpoint
 from coughmae.cli import main
 from coughmae.config import RunConfig, serialize_config
+from coughmae.errors import DataError
+from coughmae.finetune import load_model
+from coughmae.mae import prepare_patches
 
 
 def run_cli(capsys, *argv):
@@ -273,6 +279,123 @@ def test_segment_pretrain_checkpoint_rejected(corpus, capsys, tmp_path):
                            "--checkpoint", str(tmp_path / "pre" / "checkpoint.bin"))
     assert code == 2        # no classifier head in a pretraining checkpoint
     assert "head" in err
+
+
+SMALL_MODEL = {"dim": 32, "n_heads": 2, "n_blocks": 1, "decoder_dim": 16,
+               "decoder_heads": 2, "decoder_blocks": 1}
+CONTRADICTIONS = [("mel", "n_mels", 64), ("model", "dim", 16)]
+
+
+@pytest.fixture(scope="module")
+def pretrained(tmp_path_factory, corpus):
+    """A pretraining checkpoint of SMALL_MODEL with default mel settings."""
+    work = tmp_path_factory.mktemp("pretrained")
+    assert main(["pretrain", "--config", str(pretrain_config(work, corpus, "out"))]) == 0
+    return work / "out" / "checkpoint.bin"
+
+
+def finetune_config(tmp_path: Path, corpus: Path, **sections) -> Path:
+    return write_config(tmp_path / "ft.json", seed=2, **{"model": SMALL_MODEL, **sections},
+                        finetune={"epochs": 1, "batch_size": 4, "k_folds": 2},
+                        paths={"manifest": str(corpus), "output_dir": str(tmp_path / "ft")})
+
+
+@pytest.mark.parametrize("section, field, value", CONTRADICTIONS)
+def test_segment_config_contradicting_checkpoint_exit_2(section, field, value, finetuned_model,
+                                                        corpus, capsys, tmp_path):
+    sections = {"model": dict(SMALL_MODEL), "mel": {}}
+    sections[section][field] = value
+    cfg = write_config(tmp_path / "seg.json", **sections,
+                       paths={"output_dir": str(tmp_path / "seg_out")})
+    wav = sorted(corpus.parent.glob("*.wav"))[0]
+    code, _, err = run_cli(capsys, "segment", "--config", str(cfg), "--audio", str(wav),
+                           "--checkpoint", str(finetuned_model / "model.bin"))
+    assert code == 2
+    assert f"{section}.{field}" in err
+    assert not (tmp_path / "seg_out").exists()
+
+
+@pytest.mark.parametrize("section, field, value", CONTRADICTIONS)
+def test_finetune_init_config_contradicting_checkpoint_exit_2(section, field, value, pretrained,
+                                                              corpus, capsys, tmp_path):
+    sections = {"model": dict(SMALL_MODEL), "mel": {}}
+    sections[section][field] = value
+    cfg = finetune_config(tmp_path, corpus, **sections)
+    code, _, err = run_cli(capsys, "finetune", "--config", str(cfg), "--init", str(pretrained))
+    assert code == 2
+    assert f"{section}.{field}" in err
+
+
+@pytest.mark.parametrize("section", ["mel", "model"])
+def test_checkpoint_header_without_section_exit_1(section, finetuned_model, corpus, capsys,
+                                                  tmp_path):
+    ckpt = load_checkpoint(finetuned_model / "model.bin")
+    del ckpt.config[section]
+    save_checkpoint(tmp_path / "model.bin", ckpt.arrays, ckpt.config, ckpt.stats)
+    cfg = write_config(tmp_path / "seg.json", model=SMALL_MODEL,
+                       paths={"output_dir": str(tmp_path / "seg_out")})
+    wav = sorted(corpus.parent.glob("*.wav"))[0]
+    code, _, err = run_cli(capsys, "segment", "--config", str(cfg), "--audio", str(wav),
+                           "--checkpoint", str(tmp_path / "model.bin"))
+    assert code == 1
+    assert repr(section) in err
+
+
+def test_finetune_init_without_stats_exit_2_from_loader(pretrained, corpus, capsys, tmp_path,
+                                                        monkeypatch):
+    ckpt = load_checkpoint(pretrained)
+    save_checkpoint(tmp_path / "checkpoint.bin", ckpt.arrays, ckpt.config, None)
+    raised = []
+
+    def spy(*args):
+        try:
+            return load_model(*args)
+        except DataError as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(coughmae.finetune, "load_model", spy)
+    code, _, err = run_cli(capsys, "finetune", "--config", str(finetune_config(tmp_path, corpus)),
+                           "--init", str(tmp_path / "checkpoint.bin"))
+    assert code == 2
+    assert "normalization statistics" in err and len(raised) == 1
+
+
+def test_finetune_final_model_extracts_features_once(pretrained, corpus, capsys, tmp_path,
+                                                     monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return prepare_patches(*args, **kwargs)
+
+    for module in (coughmae.mae, coughmae.finetune, coughmae.cli):
+        if hasattr(module, "prepare_patches"):
+            monkeypatch.setattr(module, "prepare_patches", counting)
+    code, _, _ = run_cli(capsys, "finetune", "--config", str(finetune_config(tmp_path, corpus)),
+                         "--init", str(pretrained), "--final-model")
+    assert code == 0
+    assert len(calls) == 1
+    model = load_checkpoint(tmp_path / "ft" / "model.bin")
+    assert model.config["normalized"] and model.stats == load_checkpoint(pretrained).stats
+
+
+def test_stats_sidecar_matches_checkpoint_for_permuted_manifest(capsys, tmp_path):
+    # Listed in this order, these four clips reduce to other last bits than
+    # in sorted-path order.
+    data = tmp_path / "data"
+    assert main(["synth-data", "--out", str(data), "--n", "4", "--seed", "5"]) == 0
+    lines = (data / "manifest.csv").read_text().splitlines()
+    permuted = data / "permuted.csv"
+    permuted.write_text("\n".join([lines[0]] + [lines[1 + i] for i in (0, 2, 1, 3)]) + "\n")
+    cfg = write_config(tmp_path / "pre.json", seed=1, model=SMALL_MODEL,
+                       pretrain={"epochs": 1, "batch_size": 4},
+                       paths={"manifest": str(permuted), "output_dir": str(tmp_path / "pre")})
+    assert run_cli(capsys, "pretrain", "--config", str(cfg))[0] == 0
+    assert run_cli(capsys, "stats", "--manifest", str(permuted))[0] == 0
+    sidecar = json.loads(Path(str(permuted) + ".stats.json").read_text())
+    stored = load_checkpoint(tmp_path / "pre" / "checkpoint.bin").stats
+    assert (sidecar["mean"], sidecar["std"]) == (stored["mean"], stored["std"])
 
 
 def test_segment_needs_checkpoint(capsys, tmp_path, corpus):

@@ -374,12 +374,12 @@ def test_fit_length_pad_normalized_uses_zero():
 
 
 def test_stats_constant_dataset_degenerate():
-    s = stats_from_values([np.full((4, 4), 2.0)])
+    s = stats_from_values({"a.wav": np.full((4, 4), 2.0)})
     assert s.mean == 2.0 and s.std == 0.0 and s.degenerate
 
 
 def test_stats_small_example():
-    s = stats_from_values([np.array([[1.0, 2.0], [3.0, 4.0]])])
+    s = stats_from_values({"a.wav": np.array([[1.0, 2.0], [3.0, 4.0]])})
     assert s.mean == pytest.approx(2.5, rel=1e-15)
     assert s.std == pytest.approx(1.118033988749895, rel=1e-12)
     assert not s.degenerate
@@ -387,15 +387,15 @@ def test_stats_small_example():
 
 def test_stats_duplication_invariance():
     arrays = [np.random.default_rng(6).normal(size=(7, 5)) for _ in range(3)]
-    a = stats_from_values(arrays)
-    b = stats_from_values(arrays + arrays)
+    a = stats_from_values({f"a{i}.wav": x for i, x in enumerate(arrays)})
+    b = stats_from_values({f"{c}{i}.wav": x for c in "ab" for i, x in enumerate(arrays)})
     assert a.mean == pytest.approx(b.mean, rel=1e-12)
     assert a.std == pytest.approx(b.std, rel=1e-12)
 
 
 def test_stats_empty_collection_errors():
     with pytest.raises(DataError):
-        stats_from_values([])
+        stats_from_values({})
 
 
 def test_dataset_stats_order_invariant(tmp_path):

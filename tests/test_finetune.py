@@ -1,4 +1,6 @@
 """Pooling, AUROC, fold construction, gradient clipping, and the fine-tuning loop."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -7,21 +9,21 @@ import coughmae.tensor as T
 from coughmae import vit
 from coughmae.checkpoint import Checkpoint, load_into
 from coughmae.dsp import DatasetManifest, MelConfig, synth_dataset
-from coughmae.errors import ConfigError, DataError, NumericsError, ShapeError
+from coughmae.errors import CheckpointError, ConfigError, DataError, NumericsError, ShapeError
 from coughmae.finetune import (ClassifierHead, EvalReport, FinetuneConfig,
-                               auroc, classifier_from_checkpoint, classify,
-                               cross_validate, encoder_from_checkpoint, finetune,
-                               finetune_arrays, kfold_split, pool)
+                               auroc, classify, cross_validate, finetune,
+                               finetune_arrays, kfold_split, load_model, pool,
+                               prepare_finetune)
 from coughmae.mae import prepare_patches
 from coughmae.optim import clip_grad_norm
 from coughmae.tensor import Parameter
-from coughmae.vit import EncoderParams, FeatureSequence, ModelConfig
+from coughmae.vit import EncoderParams, ModelConfig, TokenSequence
 
 
-def feats(values: np.ndarray, has_cls: bool = True) -> FeatureSequence:
+def feats(values: np.ndarray, has_cls: bool = True) -> TokenSequence:
     n = values.shape[1] - (1 if has_cls else 0)
-    return FeatureSequence(features=T.Tensor(np.asarray(values, dtype=np.float64)),
-                           has_cls=has_cls, n_patches=n)
+    return TokenSequence(tokens=T.Tensor(np.asarray(values, dtype=np.float64)),
+                         has_cls=has_cls, n_patches=n)
 
 
 # - Pooling -
@@ -70,7 +72,7 @@ def test_pool_cls_requires_cls():
 
 def test_pool_gradient_flows():
     x = T.Tensor(np.ones((1, 3, 2)), requires_grad=True)
-    fs = FeatureSequence(features=x, has_cls=True, n_patches=2)
+    fs = TokenSequence(tokens=x, has_cls=True, n_patches=2)
     loss = T.reduce_mean(pool(fs, "mean"))
     T.backward(loss)
     # loss = mean over 2 dims of (mean over 2 patches): 1/4 per patch cell
@@ -250,22 +252,24 @@ def test_clip_rejects_non_finite_gradient():
 # - Models from checkpoints -
 
 
-def finetuned_checkpoint(cfg: ModelConfig) -> Checkpoint:
+def finetuned_checkpoint(cfg: ModelConfig, kind: str = "finetuned") -> Checkpoint:
     params = EncoderParams(cfg, seed=5).parameters() + ClassifierHead(cfg.dim, seed=6).parameters()
-    return Checkpoint(config={"kind": "finetuned", "finetune": {"pooling": "mean"}},
-                      stats=None, arrays={p.name: p.data * 1.5 + 0.25 for p in params})
+    config = {"kind": kind, "finetune": {"pooling": "mean"},
+              "mel": dataclasses.asdict(MelConfig()), "model": dataclasses.asdict(cfg)}
+    return Checkpoint(config=config, stats={"mean": -3.0, "std": 2.0},
+                      arrays={p.name: p.data * 1.5 + 0.25 for p in params})
 
 
 def test_checkpoint_loaders_draw_no_init_values(monkeypatch):
     cfg = ModelConfig()
-    ckpt = finetuned_checkpoint(cfg)
+    ckpts = [finetuned_checkpoint(cfg, kind) for kind in ("pretrain", "finetuned")]
 
     def no_draw(*args, **kwargs):
         raise AssertionError("init draw while loading a checkpoint")
 
     monkeypatch.setattr(vit, "truncated_normal", no_draw)
-    encoder_from_checkpoint(ckpt, cfg)
-    classifier_from_checkpoint(ckpt, cfg)
+    for ckpt in ckpts:
+        load_model(ckpt, MelConfig(), cfg)
 
 
 def test_loaded_models_bit_identical_to_seeded_then_loaded():
@@ -273,14 +277,42 @@ def test_loaded_models_bit_identical_to_seeded_then_loaded():
     ckpt = finetuned_checkpoint(cfg)
     ref_encoder, ref_head = EncoderParams(cfg, seed=0), ClassifierHead(cfg.dim, seed=0)
     load_into(ckpt.arrays, ref_encoder.parameters() + ref_head.parameters())
-    encoder, head, pooling, _ = classifier_from_checkpoint(ckpt, cfg)
-    assert pooling == "mean"
-    for loaded in (encoder.parameters() + head.parameters(),
-                   encoder_from_checkpoint(ckpt, cfg).parameters()):
-        ref = (ref_encoder.parameters() + ref_head.parameters())[:len(loaded)]
-        assert [p.name for p in loaded] == [p.name for p in ref]
-        for got, want in zip(loaded, ref):
-            assert np.array_equal(got.data, want.data), got.name
+    model = load_model(ckpt, MelConfig(), cfg)
+    assert model.pooling == "mean"
+    assert (model.stats.mean, model.stats.std) == (-3.0, 2.0)
+    assert load_model(finetuned_checkpoint(cfg, "pretrain"), MelConfig(), cfg).head is None
+    loaded = model.encoder.parameters() + model.head.parameters()
+    ref = ref_encoder.parameters() + ref_head.parameters()
+    assert [p.name for p in loaded] == [p.name for p in ref]
+    for got, want in zip(loaded, ref):
+        assert np.array_equal(got.data, want.data), got.name
+
+
+@pytest.mark.parametrize("section, field, value", [("mel", "n_mels", 64),
+                                                   ("model", "dim", 32)])
+def test_loader_rejects_contradicting_config(section, field, value):
+    cfg = ModelConfig()
+    configs = {"mel": MelConfig(), "model": cfg}
+    configs[section] = dataclasses.replace(configs[section], **{field: value})
+    with pytest.raises(ConfigError, match=f"{section}.{field}"):
+        load_model(finetuned_checkpoint(cfg), configs["mel"], configs["model"])
+
+
+@pytest.mark.parametrize("section", ["mel", "model"])
+def test_loader_rejects_header_without_section(section):
+    cfg = ModelConfig()
+    ckpt = finetuned_checkpoint(cfg)
+    del ckpt.config[section]
+    with pytest.raises(CheckpointError, match=section):
+        load_model(ckpt, MelConfig(), cfg)
+
+
+def test_loader_needs_stats_of_pretraining_checkpoint():
+    cfg = ModelConfig()
+    ckpt = finetuned_checkpoint(cfg, "pretrain")
+    ckpt.stats = None
+    with pytest.raises(DataError, match="normalization statistics"):
+        load_model(ckpt, MelConfig(), cfg)
 
 
 # - Fine-tuning loop -
@@ -341,7 +373,7 @@ def test_finetune_manifest_split_fallback(small_task, tmp_path):
 def test_cross_validate_report(small_task):
     manifest, mel_cfg, model_cfg, _, _ = small_task
     cfg = FinetuneConfig(epochs=1, batch_size=4, k_folds=4)
-    report = cross_validate(None, manifest, mel_cfg, model_cfg, cfg, seed=0)
+    report = cross_validate(prepare_finetune(None, manifest, mel_cfg, model_cfg, cfg), cfg, seed=0)
     assert report.init_kind == "scratch"
     assert len(report.fold_auroc) == 4
     assert len(report.curves) == 4

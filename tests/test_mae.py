@@ -12,8 +12,7 @@ from coughmae.mae import (DecoderParams, MaskPlan, PretrainConfig, WindowConfig,
                           window_map_for_grid)
 from coughmae.rng import seeded_rng
 from coughmae.tensor import Tensor
-from coughmae.vit import (EncoderParams, FeatureSequence, ModelConfig,
-                          TokenSequence, sinusoidal_positions)
+from coughmae.vit import EncoderParams, ModelConfig, TokenSequence, sinusoidal_positions
 
 
 # - sample_mask -
@@ -99,7 +98,7 @@ def test_restore_places_features_and_mask_tokens():
     feats[0, 1] = 10.0    # patch 0
     feats[0, 2] = 30.0    # patch 2
     restored = restore_with_mask_tokens(
-        FeatureSequence(Tensor(feats), True, 4, (1, 4)), plan, dec)
+        TokenSequence(Tensor(feats), True, 4, (1, 4)), plan, dec)
     pe = sinusoidal_positions(5, 8)
     got = restored.tokens.data[0]
     assert restored.n_patches == 4 and got.shape == (5, 8)
@@ -117,7 +116,7 @@ def test_restore_identity_when_nothing_masked():
     plan = MaskPlan(n_patches=3, masked=(), visible=(0, 1, 2), ratio=0.0)
     feats = np.random.default_rng(0).normal(size=(1, 4, 8))
     restored = restore_with_mask_tokens(
-        FeatureSequence(Tensor(feats), True, 3, (1, 3)), plan, dec)
+        TokenSequence(Tensor(feats), True, 3, (1, 3)), plan, dec)
     pe = sinusoidal_positions(4, 8)
     assert np.allclose(restored.tokens.data[0], feats[0] + pe, atol=1e-15)
 
@@ -130,7 +129,7 @@ def test_restore_roundtrips_apply_mask():
     plan = sample_mask(6, 0.5, seeded_rng(4, "m"))
     visible = apply_mask(seq, plan)
     restored = restore_with_mask_tokens(
-        FeatureSequence(visible.tokens, True, 6, (1, 6)), plan, dec)
+        TokenSequence(visible.tokens, True, 6, (1, 6)), plan, dec)
     pe = sinusoidal_positions(7, 8)
     body = restored.tokens.data[0] - pe
     for patch in plan.visible:
@@ -143,7 +142,7 @@ def test_restore_length_mismatch():
     cfg = ModelConfig(dim=8, n_heads=2, decoder_dim=8, decoder_heads=2)
     dec = DecoderParams(cfg, seed=1)
     plan = MaskPlan(n_patches=4, masked=(1, 3), visible=(0, 2), ratio=0.5)
-    feats = FeatureSequence(Tensor(np.zeros((1, 4, 8))), True, 4, (1, 4))
+    feats = TokenSequence(Tensor(np.zeros((1, 4, 8))), True, 4, (1, 4))
     with pytest.raises(ShapeError):
         restore_with_mask_tokens(feats, plan, dec)
 
@@ -192,7 +191,7 @@ def restored_seq(cfg, dec, n=24, grid=(4, 6), batch=1, seed=1):
     feats = np.random.default_rng(seed).normal(size=(batch, n + 1, cfg.dim))
     plan = sample_mask(n, 0.5, seeded_rng(seed, "m"))
     visible_count = 1 + len(plan.visible)
-    fs = FeatureSequence(Tensor(feats[:, :visible_count]), True, n, grid)
+    fs = TokenSequence(Tensor(feats[:, :visible_count]), True, n, grid)
     return restore_with_mask_tokens(fs, plan, dec)
 
 

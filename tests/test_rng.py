@@ -81,7 +81,7 @@ def init_draws(cfg: ModelConfig, monkeypatch) -> list[tuple[str, tuple]]:
         drawn.append((name, tuple(shape)))
         return Parameter(np.zeros(1), name)
 
-    for module in (vit, mae, finetune):
+    for module in (vit, mae):
         monkeypatch.setattr(module, "init_param", record)
     mae.build_pretrain_model(cfg, seed=0)
     finetune.ClassifierHead(cfg.dim, seed=0)
