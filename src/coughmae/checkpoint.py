@@ -1,10 +1,16 @@
 """Binary checkpoint format.
 
-Layout: 8-byte magic, u32 format version, u64 header length, UTF-8 JSON
-header, then raw little-endian float64 parameter blobs in manifest order.
-The header carries the run configuration, normalization statistics, a
-parameter manifest (name, shape, byte offset/size) and a SHA-256 of the
-blob section, so truncation or bit rot fails loudly at load time.
+Layout (version 2): 8-byte magic, u32 format version, u64 header length,
+UTF-8 JSON header, raw little-endian float64 parameter blobs in manifest
+order, then a 32-byte SHA-256 of every byte before it. The header carries
+the run configuration, normalization statistics and a parameter manifest
+(name, shape, byte offset/size). Manifest order is the order the caller
+passes; for a model it is parameters() order (encoder patch projection, CLS
+token, blocks, final norm, then decoder or head). Because the digest covers
+header and blobs alike, truncation or bit rot anywhere fails loudly at load
+time, before the header is parsed. Files are written to a temporary sibling
+and renamed over the target, so an interrupted save leaves the previous
+checkpoint intact.
 
 A model checkpoint (save_model writes it, finetune.load_model rebuilds the
 model) describes itself. Header `config` keys: kind ("pretrain": encoder +
@@ -18,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 from dataclasses import asdict, dataclass, is_dataclass
 from pathlib import Path
@@ -27,7 +34,8 @@ import numpy as np
 from .errors import CheckpointError
 
 MAGIC = b"CGHMAE\x00\x01"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+DIGEST_BYTES = 32
 
 
 @dataclass
@@ -53,21 +61,22 @@ def save_checkpoint(path, params: dict[str, np.ndarray], config: dict,
                          "offset": offset, "nbytes": len(raw)})
         blobs.append(raw)
         offset += len(raw)
-    blob = b"".join(blobs)
-    header = {
-        "version": FORMAT_VERSION,
-        "config": config,
-        "stats": stats,
-        "params": manifest,
-        "blob_sha256": hashlib.sha256(blob).hexdigest(),
-    }
+    header = {"version": FORMAT_VERSION, "config": config, "stats": stats, "params": manifest}
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", FORMAT_VERSION))
-        fh.write(struct.pack("<Q", len(header_bytes)))
-        fh.write(header_bytes)
-        fh.write(blob)
+    body = b"".join([MAGIC, struct.pack("<I", FORMAT_VERSION),
+                     struct.pack("<Q", len(header_bytes)), header_bytes, *blobs])
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(body)
+            fh.write(hashlib.sha256(body).digest())
+            fh.flush()
+            os.fsync(fh.fileno())   # the bytes reach the disk before the rename does
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def save_model(path, params, stats, kind: str, seed: int, mel_cfg, model_cfg,
@@ -85,25 +94,26 @@ def load_checkpoint(path) -> Checkpoint:
     if not path.exists():
         raise CheckpointError(f"checkpoint not found: {path}")
     data = path.read_bytes()
-    if len(data) < len(MAGIC) + 12 or data[:len(MAGIC)] != MAGIC:
+    if len(data) < len(MAGIC) + 12 + DIGEST_BYTES or data[:len(MAGIC)] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file")
     pos = len(MAGIC)
     (version,) = struct.unpack_from("<I", data, pos)
     pos += 4
     if version != FORMAT_VERSION:
         raise CheckpointError(f"{path}: unsupported format version {version}")
+    end = len(data) - DIGEST_BYTES
+    if hashlib.sha256(memoryview(data)[:end]).digest() != data[end:]:
+        raise CheckpointError(f"{path}: checksum mismatch (truncated or corrupt)")
     (header_len,) = struct.unpack_from("<Q", data, pos)
     pos += 8
-    if pos + header_len > len(data):
+    if pos + header_len > end:
         raise CheckpointError(f"{path}: truncated header")
     try:
         header = json.loads(data[pos:pos + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt header: {exc}") from None
     pos += header_len
-    blob = data[pos:]
-    if hashlib.sha256(blob).hexdigest() != header.get("blob_sha256"):
-        raise CheckpointError(f"{path}: checksum mismatch (truncated or corrupt)")
+    blob = data[pos:end]
     arrays: dict[str, np.ndarray] = {}
     for entry in header["params"]:
         lo, hi = entry["offset"], entry["offset"] + entry["nbytes"]

@@ -38,22 +38,11 @@ class RunConfig:
     paths: PathsConfig = field(default_factory=PathsConfig)
 
 
-_PRIMITIVES = (int, float, str, bool)
-
-
 def _coerce(value, target_type, where: str):
-    origin = typing.get_origin(target_type)
-    if origin is typing.Union:  # Optional[...] fields
-        args = [a for a in typing.get_args(target_type) if a is not type(None)]
-        if value is None:
-            return None
-        return _coerce(value, args[0], where)
-    if origin is tuple:
+    if typing.get_origin(target_type) is tuple:   # fixed-length tuple[T1, T2, ...]
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{where}: expected a list, got {type(value).__name__}")
         args = typing.get_args(target_type)
-        if len(args) == 2 and args[1] is Ellipsis:
-            return tuple(_coerce(v, args[0], f"{where}[{i}]") for i, v in enumerate(value))
         if len(args) != len(value):
             raise ConfigError(f"{where}: expected {len(args)} items, got {len(value)}")
         return tuple(_coerce(v, t, f"{where}[{i}]") for i, (v, t) in enumerate(zip(value, args)))

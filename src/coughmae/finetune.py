@@ -30,6 +30,7 @@ from .vit import (EncoderParams, LinearParams, ModelConfig, TokenSequence, embed
 
 N_CLASSES = 2
 MAX_GRAD_NORM = 1.0   # ViT fine-tuning value, Dosovitskiy et al. 2021, App. B.1
+SCORE_BATCH = 32      # samples per tape-free forward in score_samples
 
 
 @dataclass(frozen=True)
@@ -67,13 +68,10 @@ def pool(feats: TokenSequence, mode: str) -> Tensor:
     invariant to patch order.
     """
     if mode == "cls":
-        if not feats.has_cls:
-            raise ShapeError("cls pooling on a sequence without a CLS token")
         picked = T.gather(feats.tokens, np.array([0], dtype=np.intp), axis=1)
         return T.reshape(picked, (feats.tokens.shape[0], feats.tokens.shape[2]))
     if mode == "mean":
-        offset = 1 if feats.has_cls else 0
-        idx = np.arange(offset, offset + feats.n_patches, dtype=np.intp)
+        idx = np.arange(1, 1 + feats.n_patches, dtype=np.intp)
         patch_feats = T.gather(feats.tokens, idx, axis=1)
         return _order_invariant_mean(patch_feats)
     raise ConfigError(f"unknown pooling mode {mode!r}")
@@ -136,18 +134,12 @@ def auroc(scores, labels) -> float:
 # - Folds -
 
 
-@dataclass(frozen=True)
-class FoldSplit:
-    folds: tuple[tuple[int, ...], ...]
-    seed: int
-    stratified: bool
+def kfold_split(labels, k: int, seed: int) -> tuple[tuple[int, ...], ...]:
+    """Partition sample indices into k stratified folds, deterministically
+    from the seed.
 
-
-def kfold_split(labels, k: int, seed: int, stratified: bool = True) -> FoldSplit:
-    """Partition sample indices into k folds, deterministically from the seed.
-
-    Stratified splitting deals each class's shuffled members round-robin, so
-    per-fold class counts differ from perfect proportion by at most one.
+    Each class's shuffled members are dealt round-robin, so per-fold class
+    counts differ from perfect proportion by at most one.
     """
     y = np.asarray(labels)
     n = len(y)
@@ -155,20 +147,14 @@ def kfold_split(labels, k: int, seed: int, stratified: bool = True) -> FoldSplit
         raise DataError(f"k={k} incompatible with {n} samples")
     rng = seeded_rng(seed, "kfold")
     folds: list[list[int]] = [[] for _ in range(k)]
-    if stratified:
-        for cls in sorted(set(y.tolist())):
-            members = np.flatnonzero(y == cls)
-            if len(members) < k:
-                raise DataError(f"class {cls} has {len(members)} members, fewer than k={k}")
-            members = members[rng.permutation(len(members))]
-            for i, idx in enumerate(members):
-                folds[i % k].append(int(idx))
-    else:
-        order = rng.permutation(n)
-        for i, idx in enumerate(order):
+    for cls in sorted(set(y.tolist())):
+        members = np.flatnonzero(y == cls)
+        if len(members) < k:
+            raise DataError(f"class {cls} has {len(members)} members, fewer than k={k}")
+        members = members[rng.permutation(len(members))]
+        for i, idx in enumerate(members):
             folds[i % k].append(int(idx))
-    return FoldSplit(folds=tuple(tuple(sorted(f)) for f in folds), seed=seed,
-                     stratified=stratified)
+    return tuple(tuple(sorted(f)) for f in folds)
 
 
 # - Fine-tuning -
@@ -185,13 +171,13 @@ class FinetuneResult:
 
 
 def score_samples(patches: np.ndarray, grid_shape, encoder: EncoderParams,
-                  head: ClassifierHead, pooling: str, batch_size: int = 32) -> np.ndarray:
+                  head: ClassifierHead, pooling: str) -> np.ndarray:
     """Positive-class probability for each sample in a stacked patch array (no tape)."""
     out = []
     with T.no_grad():
-        for lo in range(0, patches.shape[0], batch_size):
-            chunk = patches[lo:lo + batch_size]
-            seq = embed(chunk, encoder, with_cls=True, grid_shape=grid_shape)
+        for lo in range(0, patches.shape[0], SCORE_BATCH):
+            chunk = patches[lo:lo + SCORE_BATCH]
+            seq = embed(chunk, encoder, grid_shape=grid_shape)
             feats = encode(seq, encoder)
             probs = classify(pool(feats, pooling), head)
             out.append(probs.data[:, 1])
@@ -246,7 +232,7 @@ def finetune_arrays(encoder: EncoderParams, patches: np.ndarray, labels: np.ndar
         order = train_idx[shuffle_rng.permutation(len(train_idx))]
         for b in range(steps_per_epoch):
             chunk = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
-            seq = embed(patches[chunk], encoder, with_cls=True, grid_shape=grid_shape)
+            seq = embed(patches[chunk], encoder, grid_shape=grid_shape)
             feats = encode(seq, encoder)
             z = logits(pool(feats, cfg.pooling), head)
             loss = T.cross_entropy_with_logits(z, labels[chunk])
@@ -351,8 +337,8 @@ def build_scorer(encoder: EncoderParams, head: ClassifierHead, mel_cfg: MelConfi
             values = np.stack([span[k:k + n_frames] for k in shifts // hop])
         else:
             values = np.stack([features(samples[o:o + win], rate) for o in offsets])
-        ps = patchify(values, encoder.cfg.patch_size, encoder.cfg.patch_stride)
-        return embed(ps.patches, encoder, grid_shape=ps.grid_shape)
+        patches, grid_shape = patchify(values, encoder.cfg.patch_size, encoder.cfg.patch_stride)
+        return embed(patches, encoder, grid_shape=grid_shape)
 
     def scorer(wave: Waveform, offsets, win: int) -> np.ndarray:
         with T.no_grad():
@@ -454,9 +440,9 @@ def cross_validate(data: FinetuneData, cfg: FinetuneConfig, seed: int,
 
     Fold f trains on the other folds and validates on fold f.
     """
-    split = kfold_split(data.labels, cfg.k_folds, seed)
+    folds = kfold_split(data.labels, cfg.k_folds, seed)
     fold_auroc, best_epochs, curves = [], [], []
-    for f, fold in enumerate(split.folds):
+    for f, fold in enumerate(folds):
         val_idx = np.array(fold, dtype=np.intp)
         train_idx = np.array(sorted(set(range(len(data.labels))) - set(fold)), dtype=np.intp)
         fold_seed = seed * 1000 + f

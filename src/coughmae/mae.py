@@ -58,26 +58,21 @@ def sample_mask(n_patches: int, ratio: float, rng: np.random.Generator) -> MaskP
 
 
 def apply_mask(seq: TokenSequence, plan: MaskPlan) -> TokenSequence:
-    """Keep CLS (when present) plus visible patch tokens, original order."""
+    """Keep CLS plus the visible patch tokens, original order."""
     if plan.n_patches != seq.n_patches:
         raise ShapeError(f"mask plan for {plan.n_patches} patches applied to {seq.n_patches}")
-    offset = 1 if seq.has_cls else 0
-    keep = ([0] if seq.has_cls else []) + [offset + i for i in plan.visible]
+    keep = [0] + [1 + i for i in plan.visible]
     tokens = T.gather(seq.tokens, np.array(keep, dtype=np.intp), axis=1)
-    return TokenSequence(tokens=tokens, has_cls=seq.has_cls,
-                         n_patches=seq.n_patches, grid_shape=seq.grid_shape)
+    return TokenSequence(tokens=tokens, n_patches=seq.n_patches, grid_shape=seq.grid_shape)
 
 
 # - Decoder -
 
 
-@dataclass(frozen=True)
-class WindowConfig:
-    """Shifted-window attention layout: window extent in patches and the
-    offset applied on alternating decoder blocks."""
-
-    extent: tuple[int, int] = (4, 4)
-    shift: tuple[int, int] = (2, 2)
+# Shifted-window attention layout: window extent in patches (time, mel) and
+# the offset applied on alternating decoder blocks.
+WINDOW_EXTENT = (4, 4)
+WINDOW_SHIFT = (2, 2)
 
 
 class DecoderParams:
@@ -108,8 +103,7 @@ def restore_with_mask_tokens(feats: TokenSequence, plan: MaskPlan,
     encodings over the restored order (CLS keeps position 0)."""
     x = feats.tokens
     batch = x.shape[0]
-    offset = 1 if feats.has_cls else 0
-    expected = offset + len(plan.visible)
+    expected = 1 + len(plan.visible)
     if x.shape[1] != expected:
         raise ShapeError(f"restore expected {expected} encoded tokens, got {x.shape[1]}")
     n_masked = len(plan.masked)
@@ -120,24 +114,20 @@ def restore_with_mask_tokens(feats: TokenSequence, plan: MaskPlan,
     else:
         stacked = x
     # Slot j of the output pulls from: CLS feature, visible feature, or a mask token.
-    source = np.empty(offset + plan.n_patches, dtype=np.intp)
-    if feats.has_cls:
-        source[0] = 0
+    source = np.empty(1 + plan.n_patches, dtype=np.intp)
+    source[0] = 0
     for rank, patch in enumerate(plan.visible):
-        source[offset + patch] = offset + rank
+        source[1 + patch] = 1 + rank
     for rank, patch in enumerate(plan.masked):
-        source[offset + patch] = offset + len(plan.visible) + rank
+        source[1 + patch] = 1 + len(plan.visible) + rank
     restored = T.gather(stacked, source, axis=1)
     pe = sinusoidal_positions(plan.n_patches + 1, dec.cfg.dim)
-    pe_rows = pe if feats.has_cls else pe[1:]
-    restored = restored + Tensor(pe_rows[None, :, :])
-    return TokenSequence(tokens=restored, has_cls=feats.has_cls,
-                         n_patches=plan.n_patches, grid_shape=feats.grid_shape)
+    restored = restored + Tensor(pe[None, :, :])
+    return TokenSequence(tokens=restored, n_patches=plan.n_patches, grid_shape=feats.grid_shape)
 
 
-def window_map_for_grid(grid_shape: tuple[int, int], wc: WindowConfig,
-                        shifted: bool, has_cls: bool) -> np.ndarray:
-    """Window id per token for a patch grid in raster order.
+def window_map_for_grid(grid_shape: tuple[int, int], shifted: bool) -> np.ndarray:
+    """Window id per token (CLS first) for a patch grid in raster order.
 
     Ids label 4x4 tiles of the (optionally shifted) partition; boundary
     windows on non-divisible grids are simply smaller. CLS gets a private id.
@@ -145,18 +135,14 @@ def window_map_for_grid(grid_shape: tuple[int, int], wc: WindowConfig,
     rows, cols = grid_shape
     if rows <= 0 or cols <= 0:
         raise ShapeError(f"bad patch grid {grid_shape}")
-    dt, df = wc.shift if shifted else (0, 0)
-    t_ids = (np.arange(rows) + dt) // wc.extent[0]
-    f_ids = (np.arange(cols) + df) // wc.extent[1]
+    dt, df = WINDOW_SHIFT if shifted else (0, 0)
+    t_ids = (np.arange(rows) + dt) // WINDOW_EXTENT[0]
+    f_ids = (np.arange(cols) + df) // WINDOW_EXTENT[1]
     grid_ids = t_ids[:, None] * (f_ids.max() + 2) + f_ids[None, :]
-    flat = grid_ids.reshape(-1)
-    if has_cls:
-        return np.concatenate([[-1], flat])
-    return flat
+    return np.concatenate([[-1], grid_ids.reshape(-1)])
 
 
 def decode(seq: TokenSequence, dec: DecoderParams, mode: str = "global",
-           wc: WindowConfig = WindowConfig(),
            weights_sink: list | None = None) -> Tensor:
     """Decode a restored sequence to per-patch pixel vectors (batch, n, side^2).
 
@@ -172,13 +158,11 @@ def decode(seq: TokenSequence, dec: DecoderParams, mode: str = "global",
     for i, block in enumerate(dec.blocks):
         wm = None
         if mode == "windowed":
-            wm = window_map_for_grid(seq.grid_shape, wc, shifted=(i % 2 == 1), has_cls=seq.has_cls)
+            wm = window_map_for_grid(seq.grid_shape, shifted=(i % 2 == 1))
         x = transformer_block(x, block, dec.cfg.decoder_heads, wm, weights_sink)
     x = T.layer_norm(x, dec.ln_gain, dec.ln_bias)
     x = T.linear(x, dec.out_proj.w, dec.out_proj.b)
-    if seq.has_cls:
-        x = T.gather(x, np.arange(1, seq.n_patches + 1, dtype=np.intp), axis=1)
-    return x
+    return T.gather(x, np.arange(1, seq.n_patches + 1, dtype=np.intp), axis=1)
 
 
 # - Loss -
@@ -264,15 +248,15 @@ def prepare_patches(manifest: DatasetManifest, mel_cfg: MelConfig, target_frames
         if stats is not None:
             spec = normalize(spec, stats.mean, stats.std)
         fitted.append(fit_length(spec, target_frames, mel_cfg.log_floor).values)
-    ps = patchify(np.stack(fitted), model_cfg.patch_size, model_cfg.patch_stride)
-    return ps.patches, ps.grid_shape, raw_values
+    patches, grid_shape = patchify(np.stack(fitted), model_cfg.patch_size, model_cfg.patch_stride)
+    return patches, grid_shape, raw_values
 
 
 def pretrain_step_loss(batch_patches: np.ndarray, grid_shape: tuple[int, int],
                        encoder: EncoderParams, decoder: DecoderParams,
                        plan: MaskPlan, mode: str = "global") -> Tensor:
     """Forward pass of one pretraining step: embed, mask, encode, restore, decode."""
-    seq = embed(batch_patches, encoder, with_cls=True, grid_shape=grid_shape)
+    seq = embed(batch_patches, encoder, grid_shape=grid_shape)
     visible = apply_mask(seq, plan)
     feats = encode(visible, encoder)
     restored = restore_with_mask_tokens(feats, plan, decoder)

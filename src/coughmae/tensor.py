@@ -438,9 +438,8 @@ def cross_entropy_with_logits(logits: Tensor, labels) -> Tensor:
     return _node(np.asarray(loss, dtype=DTYPE), "cross_entropy", (logits,), (vjp,))
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    out = matmul(x, w)
-    return out if b is None else add(out, b)
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    return add(matmul(x, w), b)
 
 
 # - Backward -

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .dsp import MelSpectrogram
 from .errors import ShapeError
 from .rng import seeded_rng, truncated_normal
 from .tensor import Parameter, Tensor
@@ -58,20 +57,6 @@ class ModelConfig:
 # - Patch extraction -
 
 
-@dataclass(frozen=True)
-class PatchSequence:
-    """Raster-ordered square patches from one spectrogram, or from a stack."""
-
-    patches: np.ndarray  # (n_patches, side * side), or (n, n_patches, side * side)
-    grid_shape: tuple[int, int]  # (patches along time, patches along mel)
-    side: int
-    stride: int
-
-    @property
-    def n_patches(self) -> int:
-        return self.patches.shape[-2]
-
-
 def patch_grid(width: int, height: int, side: int, stride: int) -> tuple[int, int]:
     """Patch counts along each axis for a (width, height) grid."""
     if side <= 0 or stride <= 0:
@@ -86,23 +71,24 @@ def patch_count(width: int, height: int, side: int, stride: int) -> int:
     return rows * cols
 
 
-def patchify(spec, side: int = 16, stride: int = 16) -> PatchSequence:
+def patchify(values: np.ndarray, side: int = 16,
+             stride: int = 16) -> tuple[np.ndarray, tuple[int, int]]:
     """Cut spectrograms into side x side patches, raster order, row-major cells.
 
-    `spec` is one MelSpectrogram, giving (n_patches, side*side) patches, or a
-    stacked (n, frames, mels) array of equally sized spectrograms, giving
-    (n, n_patches, side*side). Trailing rows/columns that do not fill a whole
-    patch are dropped.
+    `values` is one (frames, mels) spectrogram, giving (n_patches, side*side)
+    patches, or a stacked (n, frames, mels) array of equally sized
+    spectrograms, giving (n, n_patches, side*side). Returns the patches and
+    the grid shape (patches along time, patches along mel). Trailing
+    rows/columns that do not fill a whole patch are dropped.
     """
-    values = spec.values if isinstance(spec, MelSpectrogram) else np.asarray(spec, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
     if values.ndim not in (2, 3):
         raise ShapeError(f"expected (frames, mels) or (n, frames, mels) values, got {values.shape}")
     rows, cols = patch_grid(values.shape[-2], values.shape[-1], side, stride)
     windows = np.lib.stride_tricks.sliding_window_view(values, (side, side), axis=(-2, -1))
     patches = np.empty((*values.shape[:-2], rows, cols, side, side), dtype=np.float64)
     patches[...] = windows[..., ::stride, ::stride, :, :]    # a fresh array, never a view
-    patches = patches.reshape(*values.shape[:-2], rows * cols, side * side)
-    return PatchSequence(patches=patches, grid_shape=(rows, cols), side=side, stride=stride)
+    return patches.reshape(*values.shape[:-2], rows * cols, side * side), (rows, cols)
 
 
 # - Positional encodings -
@@ -201,12 +187,12 @@ class EncoderParams:
 class TokenSequence:
     """Batched tokens (batch, tokens, dim): embedded patches or encoder output.
 
-    CLS occupies slot 0 when present. Patch p always carries positional
-    encoding p + 1, CLS carries encoding 0.
+    CLS occupies slot 0 and carries positional encoding 0; patch p carries
+    encoding p + 1. n_patches counts the patches of the full grid, also
+    after masking has dropped some of their tokens.
     """
 
     tokens: Tensor
-    has_cls: bool
     n_patches: int
     grid_shape: tuple[int, int] | None = None
 
@@ -216,32 +202,23 @@ class TokenSequence:
         return self.tokens
 
 
-def embed(patches, params: EncoderParams, with_cls: bool = True,
+def embed(patches: np.ndarray, params: EncoderParams,
           grid_shape: tuple[int, int] | None = None) -> TokenSequence:
-    """Project patches and attach CLS + positional encodings.
-
-    Accepts one PatchSequence or a pre-stacked (batch, n, side*side) array.
-    """
-    if isinstance(patches, PatchSequence):
-        arr = patches.patches[None, :, :]
-        grid_shape = patches.grid_shape
-    else:
-        arr = np.asarray(patches, dtype=np.float64)
-        if arr.ndim != 3:
-            raise ShapeError(f"expected (batch, patches, values) array, got {arr.shape}")
+    """Project stacked (batch, n, side*side) patches, prepend CLS and add
+    positional encodings."""
+    arr = np.asarray(patches, dtype=np.float64)
+    if arr.ndim != 3:
+        raise ShapeError(f"expected (batch, patches, values) array, got {arr.shape}")
     if arr.shape[2] != params.cfg.patch_values:
         raise ShapeError(f"patch has {arr.shape[2]} values, projection expects {params.cfg.patch_values}")
     batch, n, _ = arr.shape
     x = T.linear(Tensor(arr), params.patch_proj.w, params.patch_proj.b)
     pe = sinusoidal_positions(n + 1, params.cfg.dim)
-    if with_cls:
-        cls = T.broadcast_to(T.reshape(params.cls, (1, 1, params.cfg.dim)),
-                             (batch, 1, params.cfg.dim))
-        x = T.concat([cls, x], axis=1)
-        x = x + Tensor(pe[None, :, :])
-    else:
-        x = x + Tensor(pe[None, 1:, :])
-    return TokenSequence(tokens=x, has_cls=with_cls, n_patches=n, grid_shape=grid_shape)
+    cls = T.broadcast_to(T.reshape(params.cls, (1, 1, params.cfg.dim)),
+                         (batch, 1, params.cfg.dim))
+    x = T.concat([cls, x], axis=1)
+    x = x + Tensor(pe[None, :, :])
+    return TokenSequence(tokens=x, n_patches=n, grid_shape=grid_shape)
 
 
 def multi_head_attention(x: Tensor, params: AttentionParams, n_heads: int,
@@ -291,12 +268,10 @@ def transformer_block(x: Tensor, block: BlockParams, n_heads: int,
     return x + h
 
 
-def encode(seq: TokenSequence, params: EncoderParams,
-           weights_sink: list | None = None) -> TokenSequence:
+def encode(seq: TokenSequence, params: EncoderParams) -> TokenSequence:
     """Run the pre-norm block stack plus final layer norm (global attention)."""
     x = seq.tokens
     for block in params.blocks:
-        x = transformer_block(x, block, params.cfg.n_heads, None, weights_sink)
+        x = transformer_block(x, block, params.cfg.n_heads)
     x = T.layer_norm(x, params.ln_gain, params.ln_bias)
-    return TokenSequence(tokens=x, has_cls=seq.has_cls,
-                         n_patches=seq.n_patches, grid_shape=seq.grid_shape)
+    return TokenSequence(tokens=x, n_patches=seq.n_patches, grid_shape=seq.grid_shape)

@@ -20,7 +20,7 @@ from coughmae.diagnostics import TOLERANCE, full_battery, pretrain_loss_check
 from coughmae.dsp import (DatasetManifest, ManifestEntry, MelConfig, Waveform,
                           save_manifest, save_wav, synth_dataset)
 from coughmae.finetune import FinetuneConfig, auroc, finetune, finetune_arrays
-from coughmae.mae import (PretrainConfig, WindowConfig, build_pretrain_model,
+from coughmae.mae import (PretrainConfig, build_pretrain_model,
                           decode, masked_mse, patch_norm_targets, prepare_patches,
                           pretrain, restore_with_mask_tokens, sample_mask,
                           window_map_for_grid)
@@ -220,14 +220,13 @@ def test_criterion_6_ablation_matrix(tmp_path):
     _, dec = build_pretrain_model(cfg, seed=0)
     feats = np.random.default_rng(1).normal(size=(1, 49, cfg.dim))
     plan = sample_mask(48, 0.75, seeded_rng(1, "acceptance.windows"))
-    fs = TokenSequence(Tensor(feats[:, :1 + len(plan.visible)]), True, 48, (6, 8))
+    fs = TokenSequence(Tensor(feats[:, :1 + len(plan.visible)]), 48, (6, 8))
     restored = restore_with_mask_tokens(fs, plan, dec)
     sink: list = []
     decode(restored, dec, mode="windowed", weights_sink=sink)
     zero_cross = True
     for i, weights in enumerate(sink):
-        wm = window_map_for_grid((6, 8), WindowConfig(), shifted=(i % 2 == 1),
-                                 has_cls=True)
+        wm = window_map_for_grid((6, 8), shifted=(i % 2 == 1))
         blocked = wm[:, None] != wm[None, :]
         zero_cross = zero_cross and bool(np.all(weights[:, :, blocked] == 0.0))
 
@@ -325,7 +324,7 @@ def test_criterion_9_variable_length(tmp_path):
         patches, grid, _ = prepare_patches(corpus, MelConfig(), frames, cfg)
         patch_counts.append(patches.shape[1])
         enc = EncoderParams(cfg, seed=0)       # identical parameter set each time
-        feats = encode(embed(patches[:2], enc, with_cls=True, grid_shape=grid), enc)
+        feats = encode(embed(patches[:2], enc, grid_shape=grid), enc)
         finite = finite and bool(np.isfinite(feats.features.data).all())
         r = finetune_arrays(enc, patches, labels, grid, np.arange(8), np.arange(8),
                             ft_cfg, seed=0)

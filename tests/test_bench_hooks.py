@@ -1,0 +1,47 @@
+"""The program names the benchmark binds to.
+
+perfbench/tracer.py skips a traced function that no longer exists, and
+perfbench/worker.py needs each workload's boundary function to time set-up,
+so a rename would silently empty a metric. Both files are only read here.
+"""
+import importlib
+import types
+from pathlib import Path
+
+import numpy as np
+
+from coughmae import finetune, optim, tensor
+from coughmae.vit import EncoderParams, ModelConfig, embed, encode
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def read_module(name: str) -> types.ModuleType:
+    """Execute perfbench/<name>.py from its text, without writing bytecode."""
+    path = PERFBENCH / f"{name}.py"
+    module = types.ModuleType(name)
+    module.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+def test_traced_and_boundary_functions_exist():
+    tracer, worker = read_module("tracer"), read_module("worker")
+    hooks = [(mod, attr) for mod, attr, _ in tracer.TRACED] + list(worker.BOUNDARY.values())
+    missing = [f"{mod}.{attr}" for mod, attr in hooks
+               if not callable(getattr(importlib.import_module(mod), attr, None))]
+    assert missing == []
+
+
+def test_counter_hooks_exist():
+    assert callable(finetune.build_scorer)
+    assert callable(optim.AdamW.step)
+    assert callable(tensor._node)
+
+
+def test_encode_output_carries_traced_attributes():
+    cfg = ModelConfig(dim=16, n_heads=2, patch_size=4, patch_stride=4)
+    enc = EncoderParams(cfg, seed=0)
+    out = encode(embed(np.zeros((2, 6, 16)), enc, grid_shape=(2, 3)), enc)
+    assert out.tokens.shape == (2, 7, 16)
+    assert out.features.shape == (2, 7, 16)

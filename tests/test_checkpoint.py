@@ -1,9 +1,13 @@
-"""Binary checkpoint roundtrips and corruption detection."""
+"""Binary checkpoint roundtrips, corruption detection and atomic writes."""
+import builtins
+import struct
+
 import numpy as np
 import pytest
 
-from coughmae.checkpoint import (Checkpoint, load_checkpoint, load_into,
-                                 save_checkpoint)
+from coughmae import checkpoint
+from coughmae.checkpoint import (DIGEST_BYTES, MAGIC, Checkpoint, load_checkpoint,
+                                 load_into, save_checkpoint)
 from coughmae.errors import CheckpointError
 from coughmae.mae import build_pretrain_model
 from coughmae.vit import ModelConfig, embed, encode
@@ -51,10 +55,58 @@ def test_flipped_blob_byte_fails_checksum(tmp_path):
     p = tmp_path / "c.bin"
     save_checkpoint(p, small_params(), {}, None)
     raw = bytearray(p.read_bytes())
-    raw[-1] ^= 0xFF
+    raw[-1 - DIGEST_BYTES] ^= 0xFF        # last byte of the last parameter
     p.write_bytes(bytes(raw))
     with pytest.raises(CheckpointError, match="checksum"):
         load_checkpoint(p)
+
+
+def test_flipped_header_byte_fails_checksum(tmp_path):
+    p = tmp_path / "c.bin"
+    save_checkpoint(p, small_params(), {"n_mels": 128}, None)
+    raw = p.read_bytes()
+    p.write_bytes(raw.replace(b'"n_mels": 128', b'"n_mels": 120'))
+    with pytest.raises(CheckpointError, match="checksum"):
+        load_checkpoint(p)
+
+
+def test_old_format_version_rejected(tmp_path):
+    p = tmp_path / "c.bin"
+    p.write_bytes(MAGIC + struct.pack("<I", 1) + b"\x00" * 64)
+    with pytest.raises(CheckpointError, match="unsupported format version 1"):
+        load_checkpoint(p)
+
+
+class _FailingWriter:
+    """A file whose write stores half of its data, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[:len(data) // 2])
+        raise OSError("No space left on device")
+
+
+def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    p = tmp_path / "c.bin"
+    save_checkpoint(p, small_params(), {"seed": 1}, None)
+    before = p.read_bytes()
+    monkeypatch.setattr(checkpoint, "open",
+                        lambda path, mode: _FailingWriter(builtins.open(path, mode)),
+                        raising=False)
+    with pytest.raises(OSError, match="No space"):
+        save_checkpoint(p, {"enc.w": np.ones((4, 6))}, {"seed": 2}, None)
+    monkeypatch.undo()
+    assert p.read_bytes() == before
+    assert load_checkpoint(p).config == {"seed": 1}
+    assert [f.name for f in tmp_path.iterdir()] == ["c.bin"]   # no temp file left
 
 
 def test_wrong_magic_rejected(tmp_path):

@@ -341,6 +341,21 @@ def test_checkpoint_header_without_section_exit_1(section, finetuned_model, corp
     assert repr(section) in err
 
 
+def test_flipped_header_byte_exit_1(finetuned_model, corpus, capsys, tmp_path):
+    # a damaged header is a corrupt file (exit 1), not a contradicting config (exit 2)
+    raw = (finetuned_model / "model.bin").read_bytes()
+    bad = tmp_path / "model.bin"
+    bad.write_bytes(raw.replace(b'"n_mels": 128', b'"n_mels": 120'))
+    assert bad.read_bytes() != raw
+    cfg = write_config(tmp_path / "seg.json", model=SMALL_MODEL,
+                       paths={"output_dir": str(tmp_path / "seg_out")})
+    wav = sorted(corpus.parent.glob("*.wav"))[0]
+    code, _, err = run_cli(capsys, "segment", "--config", str(cfg), "--audio", str(wav),
+                           "--checkpoint", str(bad))
+    assert code == 1
+    assert str(bad) in err and "checksum" in err
+
+
 def test_finetune_init_without_stats_exit_2_from_loader(pretrained, corpus, capsys, tmp_path,
                                                         monkeypatch):
     ckpt = load_checkpoint(pretrained)

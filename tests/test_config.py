@@ -1,7 +1,7 @@
 """Run-configuration parsing, validation, and canonical serialization."""
 import pytest
 
-from coughmae.config import (RunConfig, config_to_dict, load_config,
+from coughmae.config import (RunConfig, _coerce, config_to_dict, load_config,
                              parse_config, serialize_config)
 from coughmae.errors import ConfigError
 
@@ -86,3 +86,9 @@ def test_tuple_field_parsing():
     assert cfg.pretrain.betas == (0.9, 0.99)
     with pytest.raises(ConfigError):
         parse_config({"pretrain": {"betas": [0.9]}})
+
+
+def test_unsupported_field_type_rejected():
+    for field_type in (int | None, tuple[int, ...], list[int]):
+        with pytest.raises(ConfigError):
+            _coerce([1, 2], field_type, "config.x")

@@ -20,10 +20,10 @@ from coughmae.tensor import Parameter
 from coughmae.vit import EncoderParams, ModelConfig, TokenSequence
 
 
-def feats(values: np.ndarray, has_cls: bool = True) -> TokenSequence:
-    n = values.shape[1] - (1 if has_cls else 0)
+def feats(values: np.ndarray) -> TokenSequence:
+    """Encoder output with CLS at slot 0 and patches after it."""
     return TokenSequence(tokens=T.Tensor(np.asarray(values, dtype=np.float64)),
-                         has_cls=has_cls, n_patches=n)
+                         n_patches=values.shape[1] - 1)
 
 
 # - Pooling -
@@ -46,33 +46,32 @@ def test_pool_mean_excludes_cls():
     assert np.allclose(out.data, [[3.0, 4.0]], atol=1e-15)
 
 
-def test_pool_mean_without_cls():
-    x = np.array([[[1.0, 10.0], [3.0, 30.0]]])
-    out = pool(feats(x, has_cls=False), "mean")
-    assert np.allclose(out.data, [[2.0, 20.0]], atol=1e-15)
+def test_pool_mean_exact_value():
+    x = np.array([[[-7.0, 99.0], [1.0, 10.0], [3.0, 30.0]]])   # slot 0 is CLS
+    out = pool(feats(x), "mean")
+    assert np.array_equal(out.data, [[2.0, 20.0]])
 
 
 def test_pool_mean_permutation_invariant_exactly():
     rng = np.random.default_rng(3)
-    x = rng.normal(size=(2, 9, 5))
-    base = pool(feats(x, has_cls=False), "mean").data
+    x = rng.normal(size=(2, 10, 5))       # CLS plus 9 patches
+    base = pool(feats(x), "mean").data
     for _ in range(5):
-        perm = rng.permutation(9)
-        out = pool(feats(x[:, perm, :], has_cls=False), "mean").data
+        perm = np.concatenate([[0], 1 + rng.permutation(9)])   # CLS stays first
+        out = pool(feats(x[:, perm, :]), "mean").data
         assert np.array_equal(out, base)   # bit-identical, not just close
+    x[:, 0] += 1.0                        # moving CLS leaves the mean alone
+    assert np.array_equal(pool(feats(x), "mean").data, base)
 
 
-def test_pool_cls_requires_cls():
-    x = np.zeros((1, 3, 2))
-    with pytest.raises(ShapeError):
-        pool(feats(x, has_cls=False), "cls")
+def test_pool_unknown_mode_rejected():
     with pytest.raises(ConfigError):
-        pool(feats(x), "max")
+        pool(feats(np.zeros((1, 3, 2))), "max")
 
 
 def test_pool_gradient_flows():
     x = T.Tensor(np.ones((1, 3, 2)), requires_grad=True)
-    fs = TokenSequence(tokens=x, has_cls=True, n_patches=2)
+    fs = TokenSequence(tokens=x, n_patches=2)
     loss = T.reduce_mean(pool(fs, "mean"))
     T.backward(loss)
     # loss = mean over 2 dims of (mean over 2 patches): 1/4 per patch cell
@@ -173,16 +172,15 @@ def test_auroc_rank_vs_pairs_property(seed):
 
 def test_kfold_partitions_everything():
     labels = np.array([0, 1] * 20)
-    split = kfold_split(labels, 5, seed=3)
-    all_idx = sorted(i for fold in split.folds for i in fold)
+    folds = kfold_split(labels, 5, seed=3)
+    all_idx = sorted(i for fold in folds for i in fold)
     assert all_idx == list(range(40))
-    assert len(split.folds) == 5
+    assert len(folds) == 5
 
 
 def test_kfold_stratified_balance():
     labels = np.array([0] * 13 + [1] * 17)
-    split = kfold_split(labels, 5, seed=0)
-    for fold in split.folds:
+    for fold in kfold_split(labels, 5, seed=0):
         counts = np.bincount(labels[list(fold)], minlength=2)
         # 13/5 and 17/5 -> each fold holds floor or ceil of the proportion
         assert counts[0] in (2, 3)
@@ -201,12 +199,6 @@ def test_kfold_errors():
         kfold_split(labels, 5, seed=0)       # class 1 has 1 member < k
     with pytest.raises(DataError):
         kfold_split(np.array([0, 1]), 1, seed=0)
-
-
-def test_kfold_unstratified_sizes():
-    split = kfold_split(np.zeros(10, dtype=int), 3, seed=1, stratified=False)
-    sizes = sorted(len(f) for f in split.folds)
-    assert sizes == [3, 3, 4]
 
 
 # - Gradient clipping -

@@ -5,7 +5,7 @@ import pytest
 import coughmae.tensor as T
 from coughmae.dsp import MelConfig
 from coughmae.errors import ConfigError, NumericsError, ShapeError
-from coughmae.mae import (DecoderParams, MaskPlan, PretrainConfig, WindowConfig,
+from coughmae.mae import (DecoderParams, MaskPlan, PretrainConfig,
                           apply_mask, build_pretrain_model, decode, masked_mse,
                           patch_norm_targets, pretrain, pretrain_step_loss,
                           restore_with_mask_tokens, sample_mask,
@@ -56,11 +56,10 @@ def test_mask_deterministic_for_same_stream():
 # - apply_mask -
 
 
-def token_seq(n, dim=6, with_cls=True, batch=1):
+def token_seq(n, dim=6, batch=1):
     # token (b, i, :) filled with value i so gather results are recognizable
-    count = n + (1 if with_cls else 0)
-    data = np.tile(np.arange(count, dtype=np.float64)[None, :, None], (batch, 1, dim))
-    return TokenSequence(Tensor(data), with_cls, n, (1, n))
+    data = np.tile(np.arange(n + 1, dtype=np.float64)[None, :, None], (batch, 1, dim))
+    return TokenSequence(Tensor(data), n, (1, n))
 
 
 def test_apply_mask_keeps_cls_and_visible_order():
@@ -69,7 +68,7 @@ def test_apply_mask_keeps_cls_and_visible_order():
     out = apply_mask(seq, plan)
     # rows: CLS (=0), p0 (=1), p2 (=3)
     assert np.array_equal(out.tokens.data[0, :, 0], [0.0, 1.0, 3.0])
-    assert out.has_cls and out.n_patches == 4
+    assert out.n_patches == 4
 
 
 def test_apply_mask_identity_when_nothing_masked():
@@ -98,7 +97,7 @@ def test_restore_places_features_and_mask_tokens():
     feats[0, 1] = 10.0    # patch 0
     feats[0, 2] = 30.0    # patch 2
     restored = restore_with_mask_tokens(
-        TokenSequence(Tensor(feats), True, 4, (1, 4)), plan, dec)
+        TokenSequence(Tensor(feats), 4, (1, 4)), plan, dec)
     pe = sinusoidal_positions(5, 8)
     got = restored.tokens.data[0]
     assert restored.n_patches == 4 and got.shape == (5, 8)
@@ -116,7 +115,7 @@ def test_restore_identity_when_nothing_masked():
     plan = MaskPlan(n_patches=3, masked=(), visible=(0, 1, 2), ratio=0.0)
     feats = np.random.default_rng(0).normal(size=(1, 4, 8))
     restored = restore_with_mask_tokens(
-        TokenSequence(Tensor(feats), True, 3, (1, 3)), plan, dec)
+        TokenSequence(Tensor(feats), 3, (1, 3)), plan, dec)
     pe = sinusoidal_positions(4, 8)
     assert np.allclose(restored.tokens.data[0], feats[0] + pe, atol=1e-15)
 
@@ -129,7 +128,7 @@ def test_restore_roundtrips_apply_mask():
     plan = sample_mask(6, 0.5, seeded_rng(4, "m"))
     visible = apply_mask(seq, plan)
     restored = restore_with_mask_tokens(
-        TokenSequence(visible.tokens, True, 6, (1, 6)), plan, dec)
+        TokenSequence(visible.tokens, 6, (1, 6)), plan, dec)
     pe = sinusoidal_positions(7, 8)
     body = restored.tokens.data[0] - pe
     for patch in plan.visible:
@@ -142,7 +141,7 @@ def test_restore_length_mismatch():
     cfg = ModelConfig(dim=8, n_heads=2, decoder_dim=8, decoder_heads=2)
     dec = DecoderParams(cfg, seed=1)
     plan = MaskPlan(n_patches=4, masked=(1, 3), visible=(0, 2), ratio=0.5)
-    feats = TokenSequence(Tensor(np.zeros((1, 4, 8))), True, 4, (1, 4))
+    feats = TokenSequence(Tensor(np.zeros((1, 4, 8))), 4, (1, 4))
     with pytest.raises(ShapeError):
         restore_with_mask_tokens(feats, plan, dec)
 
@@ -151,9 +150,9 @@ def test_restore_length_mismatch():
 
 
 def test_window_map_partitions_desk_grid():
-    wm = window_map_for_grid((6, 8), WindowConfig(), shifted=False, has_cls=False)
-    assert wm.shape == (48,)
-    ids = wm.reshape(6, 8)
+    wm = window_map_for_grid((6, 8), shifted=False)
+    assert wm.shape == (49,)
+    ids = wm[1:].reshape(6, 8)
     # rows 0-3 and 4-5 split at the window boundary, columns at 4
     assert len(np.unique(ids)) == 4
     assert np.all(ids[:4, :4] == ids[0, 0])
@@ -164,15 +163,15 @@ def test_window_map_partitions_desk_grid():
 
 
 def test_window_map_shift_changes_partition():
-    plain = window_map_for_grid((6, 8), WindowConfig(), False, has_cls=False)
-    shifted = window_map_for_grid((6, 8), WindowConfig(), True, has_cls=False)
+    plain = window_map_for_grid((6, 8), False)[1:]
+    shifted = window_map_for_grid((6, 8), True)[1:]
     same_plain = plain[:, None] == plain[None, :]
     same_shifted = shifted[:, None] == shifted[None, :]
     assert not np.array_equal(same_plain, same_shifted)
 
 
 def test_window_map_cls_private_id():
-    wm = window_map_for_grid((6, 8), WindowConfig(), False, has_cls=True)
+    wm = window_map_for_grid((6, 8), False)
     assert wm.shape == (49,)
     assert wm[0] == -1
     assert -1 not in wm[1:]
@@ -191,7 +190,7 @@ def restored_seq(cfg, dec, n=24, grid=(4, 6), batch=1, seed=1):
     feats = np.random.default_rng(seed).normal(size=(batch, n + 1, cfg.dim))
     plan = sample_mask(n, 0.5, seeded_rng(seed, "m"))
     visible_count = 1 + len(plan.visible)
-    fs = TokenSequence(Tensor(feats[:, :visible_count]), True, n, grid)
+    fs = TokenSequence(Tensor(feats[:, :visible_count]), n, grid)
     return restore_with_mask_tokens(fs, plan, dec)
 
 
@@ -208,10 +207,10 @@ def test_decode_windowed_blocks_cross_window_attention():
     sink = []
     decode(seq, dec, mode="windowed", weights_sink=sink)
     assert len(sink) == cfg.decoder_blocks
-    wm0 = window_map_for_grid((4, 6), WindowConfig(), shifted=False, has_cls=True)
+    wm0 = window_map_for_grid((4, 6), shifted=False)
     blocked = wm0[:, None] != wm0[None, :]
     assert np.all(sink[0][:, :, blocked] == 0.0)
-    wm1 = window_map_for_grid((4, 6), WindowConfig(), shifted=True, has_cls=True)
+    wm1 = window_map_for_grid((4, 6), shifted=True)
     blocked1 = wm1[:, None] != wm1[None, :]
     assert np.all(sink[1][:, :, blocked1] == 0.0)
 
@@ -227,7 +226,7 @@ def test_decode_windowed_differs_from_global():
 def test_decode_windowed_needs_grid():
     cfg, enc, dec = small_model()
     seq = restored_seq(cfg, dec)
-    seq = TokenSequence(seq.tokens, seq.has_cls, seq.n_patches, None)
+    seq = TokenSequence(seq.tokens, seq.n_patches, None)
     with pytest.raises(ShapeError):
         decode(seq, dec, mode="windowed")
 

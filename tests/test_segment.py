@@ -214,7 +214,8 @@ def trained_scorer(tmp_path_factory):
     def window_prob(window: Waveform) -> float:
         """The per-window path: one log-mel and one batch-1 forward per window."""
         spec = normalize(log_mel_spectrogram(window, mel_cfg), stats.mean, stats.std)
-        feats = encode(embed(patchify(spec, 16, 16), enc), enc)
+        patches, grid = patchify(spec.values[None], 16, 16)
+        feats = encode(embed(patches, enc, grid_shape=grid), enc)
         return float(classify(pool(feats, "mean"), head).data[0, 1])
 
     clips = [load_wav(manifest.resolve(e)).samples for e in manifest.entries[:6]]

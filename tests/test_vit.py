@@ -5,11 +5,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import coughmae.tensor as T
-from coughmae.dsp import MelSpectrogram
 from coughmae.errors import ShapeError
 from coughmae.tensor import Tensor
 from coughmae.vit import (AttentionParams, EncoderParams, ModelConfig,
-                          PatchSequence, TokenSequence, embed, encode,
+                          TokenSequence, embed, encode,
                           multi_head_attention, patch_count, patch_grid,
                           patchify, sinusoidal_positions, transformer_block)
 
@@ -45,34 +44,32 @@ def test_patch_count_matches_enumeration(width, height, side_raw, stride_raw):
 
 def test_patchify_extracts_expected_cells():
     values = np.arange(98 * 128, dtype=np.float64).reshape(98, 128)
-    ps = patchify(MelSpectrogram(values), 16, 16)
-    assert ps.grid_shape == (6, 8)
-    assert ps.patches.shape == (48, 256)
+    patches, grid = patchify(values, 16, 16)
+    assert grid == (6, 8)
+    assert patches.shape == (48, 256)
     # raster order: patch (r=1, c=2) sits at index 1*8+2
     manual = values[16:32, 32:48].reshape(-1)
-    assert np.array_equal(ps.patches[10], manual)
+    assert np.array_equal(patches[10], manual)
 
 
 def test_patchify_overlapping_stride():
     values = np.random.default_rng(0).normal(size=(32, 32))
-    ps = patchify(MelSpectrogram(values), 16, 8)
-    assert ps.grid_shape == (3, 3)
-    assert np.array_equal(ps.patches[4], values[8:24, 8:24].reshape(-1))
+    patches, grid = patchify(values, 16, 8)
+    assert grid == (3, 3)
+    assert np.array_equal(patches[4], values[8:24, 8:24].reshape(-1))
 
 
 def test_patchify_stacked_matches_per_spectrogram_loop():
     stack = np.random.default_rng(1).normal(size=(3, 38, 40))
     for side, stride in ((16, 16), (16, 8), (5, 3)):
-        ps = patchify(stack, side, stride)
-        rows, cols = ps.grid_shape
-        assert ps.patches.shape == (3, rows * cols, side * side)
+        patches, (rows, cols) = patchify(stack, side, stride)
+        assert patches.shape == (3, rows * cols, side * side)
         for i in range(3):
             for r in range(rows):
                 for c in range(cols):
                     cell = stack[i, r * stride:r * stride + side, c * stride:c * stride + side]
-                    assert np.array_equal(ps.patches[i, r * cols + c], cell.reshape(-1))
-            assert np.array_equal(ps.patches[i],
-                                  patchify(MelSpectrogram(stack[i]), side, stride).patches)
+                    assert np.array_equal(patches[i, r * cols + c], cell.reshape(-1))
+            assert np.array_equal(patches[i], patchify(stack[i], side, stride)[0])
 
 
 # - positional encodings -
@@ -104,18 +101,18 @@ def test_embed_zero_patches_reduce_to_positions():
     # zero input and zero bias leave exactly the positional table
     params = EncoderParams(DESK, seed=0)
     zeros = np.zeros((1, 48, 256))
-    seq = embed(zeros, params, with_cls=False, grid_shape=(6, 8))
+    seq = embed(zeros, params, grid_shape=(6, 8))
     pe = sinusoidal_positions(49, DESK.dim)
-    assert np.array_equal(seq.tokens.data[0], pe[1:])
+    assert np.array_equal(seq.tokens.data[0, 1:], pe[1:])
 
 
 def test_embed_with_cls_prepends_token():
     params = EncoderParams(DESK, seed=0)
     zeros = np.zeros((2, 48, 256))
-    seq = embed(zeros, params, with_cls=True, grid_shape=(6, 8))
+    seq = embed(zeros, params, grid_shape=(6, 8))
     pe = sinusoidal_positions(49, DESK.dim)
     assert seq.tokens.shape == (2, 49, DESK.dim)
-    assert seq.has_cls
+    assert seq.n_patches == 48
     assert np.allclose(seq.tokens.data[:, 0], params.cls.data + pe[0], atol=1e-15)
     assert np.array_equal(seq.tokens.data[:, 1:], np.broadcast_to(pe[1:], (2, 48, DESK.dim)))
 
@@ -192,7 +189,7 @@ def test_encode_output_shape_and_final_norm():
                 grid_shape=(6, 8))
     feats = encode(seq, params)
     assert feats.features.shape == (2, 49, 64)
-    assert feats.has_cls and feats.n_patches == 48
+    assert feats.n_patches == 48
 
 
 def test_encode_handles_both_desk_lengths():
@@ -208,8 +205,8 @@ def test_encode_permutation_equivariance():
     params = EncoderParams(DESK, seed=2)
     tokens = np.random.default_rng(3).normal(size=(1, 49, 64))
     perm = np.concatenate([[0], 1 + np.random.default_rng(4).permutation(48)])
-    base = encode(TokenSequence(Tensor(tokens), True, 48, (6, 8)), params)
-    permuted = encode(TokenSequence(Tensor(tokens[:, perm]), True, 48, (6, 8)), params)
+    base = encode(TokenSequence(Tensor(tokens), 48, (6, 8)), params)
+    permuted = encode(TokenSequence(Tensor(tokens[:, perm]), 48, (6, 8)), params)
     assert np.max(np.abs(permuted.features.data - base.features.data[:, perm])) < 1e-10
 
 
