@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -30,8 +31,15 @@ _GELU_K = 0.044715
 
 LAYER_NORM_EPS = 1e-6
 
-# False inside no_grad(): _node then records no parents or VJPs.
-_grad_enabled = True
+
+class _GradMode(threading.local):
+    """Per-thread tape switch, on in every new thread; no_grad() turns it off
+    in its own thread only, and _node then records no parents or VJPs."""
+
+    enabled = True
+
+
+_grad_mode = _GradMode()
 
 
 def _as_array(x) -> np.ndarray:
@@ -142,15 +150,15 @@ def no_grad():
 
     Values are computed exactly as with the tape on, and the per-op finite
     check still runs. The previous mode is restored on exit, also when the
-    block raises, so blocks nest.
+    block raises, so blocks nest. The mode belongs to the calling thread:
+    other threads keep recording (or not) as their own blocks say.
     """
-    global _grad_enabled
-    previous = _grad_enabled
-    _grad_enabled = False
+    previous = _grad_mode.enabled
+    _grad_mode.enabled = False
     try:
         yield
     finally:
-        _grad_enabled = previous
+        _grad_mode.enabled = previous
 
 
 def _node(data: np.ndarray, op: str, parents: Sequence[Tensor], vjps: Sequence[Callable]) -> Tensor:
@@ -161,7 +169,7 @@ def _node(data: np.ndarray, op: str, parents: Sequence[Tensor], vjps: Sequence[C
     out.data = data
     out.grad = None
     out._op = op
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _grad_mode.enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._vjps = tuple(vjps)

@@ -1,7 +1,10 @@
 """Sliding-window event detection and F1 scoring."""
+import time
+
 import numpy as np
 import pytest
 
+from coughmae import segment
 from coughmae.dsp import (MelConfig, Waveform, load_wav, log_mel_spectrogram,
                           normalize, stats_from_values, synth_dataset)
 from coughmae.errors import DataError
@@ -160,7 +163,8 @@ def test_slide_shift_consistency(rng):
 
 
 def test_slide_passes_bounded_ordered_chunks():
-    """Every window is scored exactly once, in order, at most SCORE_CHUNK per call."""
+    """Each call gets consecutive ascending offsets, at most SCORE_CHUNK of
+    them, and every window is scored exactly once (calls may overlap in time)."""
     rate, n = 100, 20_000
     wave = ramp_wave(n, rate)
     calls = []
@@ -171,8 +175,37 @@ def test_slide_passes_bounded_ordered_chunks():
         return np.zeros(len(offsets))
 
     assert slide(wave, recording_scorer, CFG) == []
-    assert max(len(c) for c in calls) <= SCORE_CHUNK
-    assert [o for c in calls for o in c] == list(range(0, n - 40 + 1, 1))
+    for c in calls:
+        assert 1 <= len(c) <= SCORE_CHUNK
+        assert c == list(range(c[0], c[0] + len(c)))
+    assert sorted(o for c in calls for o in c) == list(range(0, n - 40 + 1, 1))
+
+
+@pytest.fixture(params=[1, 2], ids=["1cpu", "2cpu"])
+def cpus(request, monkeypatch):
+    """Usable CPU count slide() sees; it runs min(cpus, 2) scorer workers."""
+    monkeypatch.setattr(segment.os, "sched_getaffinity", lambda pid: set(range(request.param)))
+    return request.param
+
+
+def test_slide_names_earliest_non_finite_offset(cpus):
+    """A NaN in chunk 3 that is scored before chunk 1's NaN is not reported."""
+    size = SCORE_CHUNK // cpus
+    first, later = size + 3, 3 * size + 5
+    calls = []
+
+    def scorer(w, offsets, win):
+        calls.append(int(offsets[0]))
+        if first in offsets:
+            time.sleep(0.2)            # chunks 2 and 3 finish first
+        return np.where((offsets == first) | (offsets == later), np.nan, 0.0)
+
+    with pytest.raises(DataError, match=f"offset {first}$"):
+        slide(ramp_wave(2000), scorer, CFG)
+    # Chunk 1 is consumed with at most `cpus` chunks submitted after it; the
+    # remaining ~120 are never scored.
+    assert len(calls) <= 2 + cpus
+    assert sorted(calls) == [k * size for k in range(len(calls))]
 
 
 def test_slide_names_offset_of_non_finite_probability():
@@ -257,6 +290,60 @@ def test_batched_scorer_short_audio(trained_scorer):
     batched, _, recording = trained_scorer
     short = Waveform(recording.samples[:6399], recording.sample_rate)
     assert slide(short, batched, CFG) == []
+
+
+def test_threaded_slide_is_bit_identical(trained_scorer, cpus):
+    """The probabilities slide() consumes equal a sequential pass of the
+    scorer over the same offsets bit for bit, and so do the events."""
+    batched, _, recording = trained_scorer
+    win, step = 6400, 160
+    offsets = np.arange(0, len(recording.samples) - win + 1, step)
+    want = np.concatenate([batched(recording, offsets[lo:lo + SCORE_CHUNK], win)
+                           for lo in range(0, len(offsets), SCORE_CHUNK)])
+    seen = []
+
+    def recorded(wave, chunk, win):
+        probs = batched(wave, chunk, win)
+        seen.append((int(chunk[0]), chunk.copy(), probs.copy()))
+        return probs
+
+    strict = SegmentationConfig(threshold=0.8)
+    events = slide(recording, recorded, strict)
+    seen.sort(key=lambda call: call[0])
+    assert np.array_equal(np.concatenate([c for _, c, _ in seen]), offsets)
+    got = np.concatenate([p for _, _, p in seen])
+    assert got.tobytes() == want.tobytes()
+    rate = recording.sample_rate
+    positives = [(o / rate, (o + win) / rate) for o in offsets[want >= 0.8].tolist()]
+    assert events == [Event(lo, hi) for lo, hi in merge_intervals(positives)]
+    assert len(events) >= 2
+
+
+def test_slide_restores_blas_threads(cpus):
+    threads = segment._openblas_threads()
+    if threads is None:
+        pytest.skip("numpy is not linked against OpenBLAS")
+    get, set_ = threads
+    original = get()
+    inside = []
+
+    def scorer(bad_offset):
+        def score(w, offsets, win):
+            inside.append(get())
+            return np.where(offsets == bad_offset, np.nan, 0.0)
+
+        return score
+
+    try:
+        set_(2)
+        assert slide(ramp_wave(100), scorer(-1), CFG) == []
+        assert get() == 2
+        with pytest.raises(DataError, match="offset 37"):
+            slide(ramp_wave(100), scorer(37), CFG)
+        assert get() == 2
+        assert inside and set(inside) == {1}
+    finally:
+        set_(original)
 
 
 # - event_f1 -

@@ -1,4 +1,6 @@
 """Forward ops, reverse-mode gradients, and the finite-difference checker."""
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -228,6 +230,46 @@ def test_no_grad_restored_after_exception_and_nested():
             assert not T.matmul(t([[1.0, 1.0]]), w).requires_grad
             T.scale(t([1.0]), float("inf"))        # the finite check still runs
     assert T.matmul(t([[1.0, 1.0]]), w).requires_grad
+
+
+def test_no_grad_is_per_thread():
+    """Each thread has its own mode: blocks that exit out of order in two
+    threads change neither the other thread nor the main thread."""
+    w = Parameter(np.ones((2, 2)), "w")
+    x = t([[1.0, 1.0]])
+    barrier = threading.Barrier(2, timeout=30)
+    seen = {}
+
+    def records() -> bool:
+        return T.matmul(x, w).requires_grad
+
+    def first():
+        with T.no_grad():
+            barrier.wait()                    # 1: only this thread is in a block
+            barrier.wait()                    # 2: both threads are in a block
+            seen["first inside"] = records()
+        barrier.wait()                        # 3: this block exits first
+        seen["first after"] = records()
+        barrier.wait()                        # 4
+
+    def second():
+        barrier.wait()                        # 1
+        seen["second before"] = records()
+        with T.no_grad():
+            barrier.wait()                    # 2
+            barrier.wait()                    # 3: the other block has exited
+            seen["second inside"] = records()
+            barrier.wait()                    # 4
+        seen["second after"] = records()
+
+    threads = [threading.Thread(target=first), threading.Thread(target=second)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=60)
+    assert seen == {"first inside": False, "first after": True, "second before": True,
+                    "second inside": False, "second after": True}
+    assert records()                          # the main thread still records a tape
 
 
 def test_no_grad_leaves_grad_check_unchanged():
