@@ -8,6 +8,7 @@ Submodules:
     mae         masking, shifted-window decoder, reconstruction loss, pretraining
     finetune    pooling, classifier head, AUROC, k-fold cross-validation
     segment     sliding-window event detection and F1 scoring
+    workers     ordered worker threads with OpenBLAS at one thread
     checkpoint  versioned binary parameter format
     config      strict JSON run configuration
     cli         command-line entry points

@@ -25,6 +25,7 @@ from .finetune import (FinetuneData, build_scorer, cross_validate, load_model,
                        prepare_finetune)
 from .mae import pretrain
 from .segment import event_f1, read_events_csv, sample_f1, slide, write_events_csv
+from .workers import on_worker
 
 
 def _log(message: str) -> None:
@@ -81,7 +82,8 @@ def _train_final_model(cfg: RunConfig, data: FinetuneData, report, out_dir: Path
     epochs = max(1, int(round(float(np.mean([e + 1 for e in report.best_epochs])))))
     ft_cfg = dataclasses.replace(cfg.finetune, epochs=epochs)
     all_idx = np.arange(len(data.labels))
-    result = data.run(all_idx, all_idx, ft_cfg, cfg.seed, select_best=False)
+    # On a pool thread, the retrain reuses the memory the fold workers freed.
+    result = on_worker(lambda: data.run(all_idx, all_idx, ft_cfg, cfg.seed, select_best=False))
     stats = None if data.init is None else data.init.stats
     save_model(out_dir / "model.bin", result.encoder.parameters() + result.head.parameters(),
                stats, "finetuned", cfg.seed, cfg.mel, cfg.model,

@@ -27,6 +27,7 @@ from .rng import seeded_rng
 from .tensor import Parameter, Tensor
 from .vit import (EncoderParams, LinearParams, ModelConfig, TokenSequence, embed,
                   encode, patchify)
+from .workers import in_order, worker_count
 
 N_CLASSES = 2
 MAX_GRAD_NORM = 1.0   # ViT fine-tuning value, Dosovitskiy et al. 2021, App. B.1
@@ -205,7 +206,8 @@ def finetune_arrays(encoder: EncoderParams, patches: np.ndarray, labels: np.ndar
     its own leaves more runs from a pretrained encoder stalled). After every
     epoch the validation AUROC is recorded; the weights from the best epoch
     are what the returned model carries (select_best=False keeps the final
-    epoch instead, for fixed-budget retraining).
+    epoch instead, for fixed-budget retraining, and snapshots nothing).
+    Each step's autodiff tape is freed before the next step's forward.
     """
     train_idx = np.asarray(train_idx, dtype=np.intp)
     val_idx = np.asarray(val_idx, dtype=np.intp)
@@ -242,6 +244,7 @@ def finetune_arrays(encoder: EncoderParams, patches: np.ndarray, labels: np.ndar
             opt_enc.zero_grad()
             opt_head.zero_grad()
             T.backward(loss)
+            del seq, feats, z, loss     # the step's tape, freed before the next forward
             clip_grad_norm(all_params, MAX_GRAD_NORM)
             lr_scale = warmup_cosine_lr(step, total_steps, 1.0, cfg.warmup_frac)
             opt_enc.step(lr=cfg.encoder_lr * lr_scale)
@@ -253,7 +256,8 @@ def finetune_arrays(encoder: EncoderParams, patches: np.ndarray, labels: np.ndar
         curve.append(epoch_auroc)
         if epoch_auroc > best_auroc:
             best_epoch, best_auroc = epoch, epoch_auroc
-            best_state = _snapshot(all_params)
+            if select_best:
+                best_state = _snapshot(all_params)
         if log is not None:
             log(f"epoch {epoch + 1}/{cfg.epochs} val_auroc {epoch_auroc:.4f}")
     if select_best:
@@ -438,19 +442,34 @@ def cross_validate(data: FinetuneData, cfg: FinetuneConfig, seed: int,
                    log=None) -> EvalReport:
     """Stratified k-fold fine-tuning; each fold starts from the same init.
 
-    Fold f trains on the other folds and validates on fold f.
+    Fold f trains on the other folds and validates on fold f, seeded with
+    seed * 1000 + f. Folds share only read-only inputs, so they run in
+    workers.worker_count() ordered worker threads with OpenBLAS at one
+    thread, and each gives the bits it gives alone. Results, and each
+    fold's buffered progress lines, are taken in fold order in the caller's
+    thread, so the report is byte-identical at any worker count and `log`
+    is only ever called from the caller's thread.
     """
     folds = kfold_split(data.labels, cfg.k_folds, seed)
-    fold_auroc, best_epochs, curves = [], [], []
-    for f, fold in enumerate(folds):
+
+    def run_fold(f: int):
+        fold = folds[f]
         val_idx = np.array(fold, dtype=np.intp)
         train_idx = np.array(sorted(set(range(len(data.labels))) - set(fold)), dtype=np.intp)
-        fold_seed = seed * 1000 + f
-        result = data.run(train_idx, val_idx, cfg, fold_seed,
-                          log=(lambda m, f=f: log(f"fold {f}: {m}")) if log else None)
-        fold_auroc.append(result.best_auroc)
-        best_epochs.append(result.best_epoch)
-        curves.append(result.curve)
+        lines: list[str] = []
+        # The fold's weights are not reported, so no best-epoch snapshot is kept.
+        result = data.run(train_idx, val_idx, cfg, seed * 1000 + f, select_best=False,
+                          log=lines.append if log else None)
+        return result.best_auroc, result.best_epoch, result.curve, lines
+
+    fold_auroc, best_epochs, curves = [], [], []
+    with in_order(run_fold, range(len(folds)), worker_count()) as results:
+        for f, (best_auroc, best_epoch, curve, lines) in results:
+            for line in lines:
+                log(f"fold {f}: {line}")
+            fold_auroc.append(best_auroc)
+            best_epochs.append(best_epoch)
+            curves.append(curve)
     return EvalReport(pooling=cfg.pooling, fold_auroc=fold_auroc,
                       best_epochs=best_epochs, curves=curves,
                       mean_auroc=float(np.mean(fold_auroc)),

@@ -31,6 +31,7 @@ from .tensor import Parameter, Tensor
 from .vit import (BlockParams, EncoderParams, LinearParams, ModelConfig,
                   TokenSequence, embed, encode, init_param, patchify,
                   sinusoidal_positions, transformer_block)
+from .workers import on_worker
 
 
 @dataclass(frozen=True)
@@ -273,7 +274,8 @@ def pretrain(manifest: DatasetManifest, mel_cfg: MelConfig, model_cfg: ModelConf
     Spectrograms stay unnormalized; dataset statistics are computed anyway
     and stored in the checkpoint for downstream fine-tuning. When out_dir is
     given, the latest checkpoint is rewritten each epoch and the loss history
-    lands next to it as loss.csv.
+    lands next to it as loss.csv. Each epoch runs on a worker thread (see
+    workers.on_worker); log is called from the caller's thread.
     """
     patches, grid_shape, raw_values = prepare_patches(manifest, mel_cfg,
                                                       cfg.target_frames, model_cfg)
@@ -293,14 +295,14 @@ def pretrain(manifest: DatasetManifest, mel_cfg: MelConfig, model_cfg: ModelConf
     total_steps = cfg.epochs * steps_per_epoch
     history: list[dict] = []
     started = time.monotonic()
-    step = 0
     out_dir = Path(out_dir) if out_dir is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
 
-    for epoch in range(cfg.epochs):
+    def train_epoch(epoch: int) -> None:
         order = shuffle_rng.permutation(n)
         for b in range(steps_per_epoch):
+            step = len(history)
             batch_idx = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
             batch = patches[batch_idx]
             plan = sample_mask(n_patches, cfg.mask_ratio, mask_rng)
@@ -312,9 +314,14 @@ def pretrain(manifest: DatasetManifest, mel_cfg: MelConfig, model_cfg: ModelConf
                 raise NumericsError(f"non-finite pretraining loss at step {step}")
             opt.zero_grad()
             T.backward(loss)
+            del loss                    # the step's tape, freed before the next forward
             opt.step(lr=lr)
             history.append({"step": step, "epoch": epoch, "lr": lr, "loss": value})
-            step += 1
+
+    for epoch in range(cfg.epochs):
+        # One pool thread per epoch, for the heap (see on_worker): an
+        # interrupt then waits for the running epoch only.
+        on_worker(lambda: train_epoch(epoch))
         if log is not None:
             log(f"epoch {epoch + 1}/{cfg.epochs} loss {history[-1]['loss']:.6f} "
                 f"({time.monotonic() - started:.1f}s)")

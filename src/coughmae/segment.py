@@ -12,21 +12,17 @@ sample-based F1 over fixed-width time bins.
 """
 from __future__ import annotations
 
-import collections
-import contextlib
 import csv
-import ctypes
-import functools
 import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable
 
 import numpy as np
 
 from .dsp import Waveform
 from .errors import DataError
+from .workers import in_order, worker_count
 
 _OVERLAP_TOL = 1e-12
 
@@ -34,18 +30,6 @@ _OVERLAP_TOL = 1e-12
 # needs. One worker scores all 32 per call (128 was slower and used more
 # memory); two workers score 16 each, as 2 x 32 peaked 13% higher.
 SCORE_CHUNK = 32
-
-# Scorer calls running at once. The encoder forward is numpy ufuncs and
-# small GEMMs that release the GIL: on a 2-core box two workers segment the
-# 60 s bench recording in 4.8-5.4 s instead of 7.8-8.7 s with one.
-_MAX_WORKERS = 2
-
-# (get, set) thread-count entry points: scipy-openblas as numpy wheels ship
-# it, then a plain OpenBLAS build.
-_OPENBLAS_THREADS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
 
 Scorer = Callable[[Waveform, np.ndarray, int], np.ndarray]
 
@@ -108,93 +92,12 @@ def per_window(fn: Callable[[Waveform], float]) -> Scorer:
     return scorer
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:                 # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-@functools.cache
-def _openblas_threads():
-    """(get, set) for the OpenBLAS thread count, or None without OpenBLAS.
-
-    The symbols are looked up through numpy's core extension module, which
-    also searches the libraries it links: the wheels' bundled
-    numpy.libs/libscipy_openblas64_-*.so or a system libopenblas.
-    """
-    core = getattr(np, "_core", None) or np.core         # numpy 2 / numpy 1
-    try:
-        lib = ctypes.CDLL(core._multiarray_umath.__file__)
-    except (AttributeError, OSError):
-        return None
-    for get_name, set_name in _OPENBLAS_THREADS:
-        get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
-        if get is not None and set_ is not None:
-            get.argtypes, get.restype = (), ctypes.c_int
-            set_.argtypes, set_.restype = (ctypes.c_int,), None
-            return get, set_
-    return None
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Hold OpenBLAS to one thread inside the block, then restore its count.
-
-    Segmentation runs many small GEMMs; between them a second OpenBLAS
-    thread only busy-waits on the core a scorer worker needs. On the 60 s
-    bench recording all 5,961 window probabilities are bit-identical either
-    way. Without OpenBLAS this is a no-op.
-    """
-    threads = _openblas_threads()
-    if threads is None:
-        yield
-        return
-    get, set_ = threads
-    previous = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(previous)
-
-
-@contextlib.contextmanager
-def _in_order(fn: Callable, items: Iterable, workers: int) -> Iterator[Iterator]:
-    """Yield an iterator of (item, fn(item)) in the order of `items`.
-
-    Up to `workers` calls run at once in a thread pool, and at most
-    `workers` items are taken ahead of the one being consumed, so memory
-    does not grow with the number of items. An error raised by fn surfaces
-    at its own item. Leaving the block cancels the calls not yet started
-    and waits for the running ones.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
-    pool = ThreadPoolExecutor(max_workers=workers)
-
-    def results():
-        pending = collections.deque()
-        for item in items:
-            pending.append((item, pool.submit(fn, item)))
-            if len(pending) > workers:
-                head, future = pending.popleft()
-                yield head, future.result()
-        for head, future in pending:
-            yield head, future.result()
-
-    try:
-        yield results()
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
-
-
 def slide(wave: Waveform, scorer: Scorer, cfg: SegmentationConfig) -> list[Event]:
     """Score every full window and merge positive ones into events.
 
     Window offsets are whole multiples of the step in samples. Each scorer
     call gets consecutive ascending offsets, SCORE_CHUNK // W at most, where
-    W is min(usable CPUs, 2). The scorer runs in W worker threads, never in
+    W is workers.worker_count(). The scorer runs in W worker threads, never in
     the caller's thread, and with W > 1 its calls overlap, so it must be
     thread-safe and must not rely on the caller's per-thread state (such as
     tensor.no_grad). OpenBLAS is held to one thread while slide runs, and
@@ -210,13 +113,12 @@ def slide(wave: Waveform, scorer: Scorer, cfg: SegmentationConfig) -> list[Event
     if step <= 0 or win <= 0:
         raise DataError(f"window/step too small for rate {rate}")
     starts = range(0, len(wave.samples) - win + 1, step)
-    workers = min(_usable_cpus(), _MAX_WORKERS)
+    workers = worker_count()
     size = SCORE_CHUNK // workers
     chunks = (np.asarray(starts[lo:lo + size], dtype=np.intp)
               for lo in range(0, len(starts), size))
     positives: list[tuple[float, float]] = []
-    with _one_blas_thread(), _in_order(lambda offsets: scorer(wave, offsets, win),
-                                       chunks, workers) as scored:
+    with in_order(lambda offsets: scorer(wave, offsets, win), chunks, workers) as scored:
         for offsets, probs in scored:
             probs = np.asarray(probs, dtype=np.float64)
             if probs.shape != offsets.shape:

@@ -1,17 +1,21 @@
 """Pooling, AUROC, fold construction, gradient clipping, and the fine-tuning loop."""
 import dataclasses
+import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import coughmae.tensor as T
-from coughmae import vit
+from coughmae import finetune as finetune_module
+from coughmae import vit, workers
 from coughmae.checkpoint import Checkpoint, load_into
 from coughmae.dsp import DatasetManifest, MelConfig, synth_dataset
 from coughmae.errors import CheckpointError, ConfigError, DataError, NumericsError, ShapeError
 from coughmae.finetune import (ClassifierHead, EvalReport, FinetuneConfig,
-                               auroc, classify, cross_validate, finetune,
+                               FinetuneResult, auroc, classify, cross_validate, finetune,
                                finetune_arrays, kfold_split, load_model, pool,
                                prepare_finetune)
 from coughmae.mae import prepare_patches
@@ -376,6 +380,135 @@ def test_cross_validate_report(small_task):
     assert '"mean_auroc"' in json_text
     assert csv_text.startswith("fold,best_epoch,auroc,pooling,init")
     assert csv_text.count("\n") == 4 + 2   # header + folds + mean row
+
+
+def test_finetune_step_frees_its_tape(small_task):
+    """A step's graph is released before the next step's forward, so four
+    steps peak no higher than one (a retained tape read 1.70x here)."""
+    manifest, _, model_cfg, patches, grid = small_task
+    model_cfg = dataclasses.replace(model_cfg, n_blocks=4)   # tape outweighs state
+    cfg = FinetuneConfig(epochs=1, batch_size=6)
+
+    def traced_peak(steps: int) -> int:
+        encoder = EncoderParams(model_cfg, seed=0)
+        train_idx = np.tile(np.arange(12), 2)[:steps * cfg.batch_size]
+        tracemalloc.start()
+        try:
+            finetune_arrays(encoder, patches, manifest.labels(), grid, train_idx,
+                            np.arange(12, 16), cfg, seed=0, select_best=False)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert traced_peak(4) < 1.5 * traced_peak(1)
+
+
+# - Cross-validation on worker threads -
+
+
+def test_cross_validate_bit_identical_across_cpus(small_task, cpus, monkeypatch):
+    """The report and every fold's trained head equal a sequential pass over
+    the folds in this thread byte for byte; progress lines come in fold
+    order, all from this thread."""
+    manifest, mel_cfg, model_cfg, _, _ = small_task
+    cfg = FinetuneConfig(epochs=2, batch_size=4, k_folds=4)
+    data = prepare_finetune(None, manifest, mel_cfg, model_cfg, cfg)
+    want = []
+    for f, fold in enumerate(kfold_split(data.labels, cfg.k_folds, 5)):
+        train_idx = np.setdiff1d(np.arange(len(data.labels)), fold)
+        want.append(data.run(train_idx, np.array(fold), cfg, 5000 + f, select_best=False))
+    want_report = EvalReport(pooling=cfg.pooling, fold_auroc=[r.best_auroc for r in want],
+                             best_epochs=[r.best_epoch for r in want],
+                             curves=[r.curve for r in want],
+                             mean_auroc=float(np.mean([r.best_auroc for r in want])),
+                             init_kind="scratch")
+
+    heads, fold_threads, logged = {}, set(), []
+    run_fold = finetune_module.finetune_arrays
+
+    def recording(*args, **kwargs):
+        result = run_fold(*args, **kwargs)
+        heads[args[7]] = result.head.w.data.tobytes() + result.head.b.data.tobytes()
+        fold_threads.add(threading.current_thread())
+        return result
+
+    monkeypatch.setattr(finetune_module, "finetune_arrays", recording)
+    report = cross_validate(data, cfg, seed=5,
+                            log=lambda m: logged.append((threading.current_thread(), m)))
+    assert report.to_json() == want_report.to_json()
+    assert heads == {5000 + f: r.head.w.data.tobytes() + r.head.b.data.tobytes()
+                     for f, r in enumerate(want)}
+    assert threading.current_thread() not in fold_threads
+    assert {thread for thread, _ in logged} == {threading.current_thread()}
+    assert [m for _, m in logged] == [f"fold {f}: epoch {e + 1}/2 val_auroc {a:.4f}"
+                                      for f, r in enumerate(want)
+                                      for e, a in enumerate(r.curve)]
+
+
+class _StubData:
+    """Stands in for FinetuneData: 20 samples; fold f runs with seed f."""
+
+    init = None
+    labels = np.array([0, 1] * 10)
+
+    def __init__(self, run):
+        self.run = run
+
+
+def _stub_result() -> FinetuneResult:
+    return FinetuneResult(encoder=None, head=None, curve=[0.5], best_epoch=0, best_auroc=0.5)
+
+
+def test_cross_validate_reports_earliest_failing_fold(cpus):
+    """Fold 3 fails before fold 1 does; the error raised is fold 1's, fold 4
+    never starts, and no worker thread outlives the call."""
+    started, failed = [], []
+
+    def run(train_idx, val_idx, cfg, seed, **kwargs):
+        started.append(seed)
+        if seed == 1:
+            time.sleep(0.2)
+        if seed in (1, 3):
+            failed.append(seed)
+            raise NumericsError(f"fold {seed} diverged")
+        return _stub_result()
+
+    before = set(threading.enumerate())
+    with pytest.raises(NumericsError, match="fold 1 diverged"):
+        cross_validate(_StubData(run), FinetuneConfig(k_folds=5), seed=0)
+    assert set(threading.enumerate()) <= before
+    assert 4 not in started
+    if cpus == 2:
+        assert failed == [3, 1]
+
+
+def test_cross_validate_restores_blas_threads(cpus):
+    threads = workers.openblas_threads()
+    if threads is None:
+        pytest.skip("numpy is not linked against OpenBLAS")
+    get, set_ = threads
+    original = get()
+    inside = []
+
+    def run_failing_at(bad_seed):
+        def run(train_idx, val_idx, cfg, seed, **kwargs):
+            inside.append(get())
+            if seed == bad_seed:
+                raise NumericsError("diverged")
+            return _stub_result()
+
+        return _StubData(run)
+
+    try:
+        set_(2)
+        cross_validate(run_failing_at(-1), FinetuneConfig(k_folds=5), seed=0)
+        assert get() == 2
+        with pytest.raises(NumericsError):
+            cross_validate(run_failing_at(2), FinetuneConfig(k_folds=5), seed=0)
+        assert get() == 2
+        assert inside and set(inside) == {1}
+    finally:
+        set_(original)
 
 
 def test_eval_report_csv_mean_row():

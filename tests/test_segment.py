@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from coughmae import segment
+from coughmae import workers
 from coughmae.dsp import (MelConfig, Waveform, load_wav, log_mel_spectrogram,
                           normalize, stats_from_values, synth_dataset)
 from coughmae.errors import DataError
@@ -181,13 +181,6 @@ def test_slide_passes_bounded_ordered_chunks():
     assert sorted(o for c in calls for o in c) == list(range(0, n - 40 + 1, 1))
 
 
-@pytest.fixture(params=[1, 2], ids=["1cpu", "2cpu"])
-def cpus(request, monkeypatch):
-    """Usable CPU count slide() sees; it runs min(cpus, 2) scorer workers."""
-    monkeypatch.setattr(segment.os, "sched_getaffinity", lambda pid: set(range(request.param)))
-    return request.param
-
-
 def test_slide_names_earliest_non_finite_offset(cpus):
     """A NaN in chunk 3 that is scored before chunk 1's NaN is not reported."""
     size = SCORE_CHUNK // cpus
@@ -320,7 +313,7 @@ def test_threaded_slide_is_bit_identical(trained_scorer, cpus):
 
 
 def test_slide_restores_blas_threads(cpus):
-    threads = segment._openblas_threads()
+    threads = workers.openblas_threads()
     if threads is None:
         pytest.skip("numpy is not linked against OpenBLAS")
     get, set_ = threads
