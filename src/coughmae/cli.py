@@ -83,7 +83,8 @@ def _train_final_model(cfg: RunConfig, data: FinetuneData, report, out_dir: Path
     ft_cfg = dataclasses.replace(cfg.finetune, epochs=epochs)
     all_idx = np.arange(len(data.labels))
     # On a pool thread, the retrain reuses the memory the fold workers freed.
-    result = on_worker(lambda: data.run(all_idx, all_idx, ft_cfg, cfg.seed, select_best=False))
+    # It keeps its last epoch, so it scores no validation set.
+    result = on_worker(lambda: data.run(all_idx, None, ft_cfg, cfg.seed, select_best=False))
     stats = None if data.init is None else data.init.stats
     save_model(out_dir / "model.bin", result.encoder.parameters() + result.head.parameters(),
                stats, "finetuned", cfg.seed, cfg.mel, cfg.model,

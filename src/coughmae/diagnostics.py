@@ -45,6 +45,11 @@ def op_battery(seed: int = 0) -> list[tuple[str, float]]:
     check("scale", lambda t: T.reduce_sum(T.square(t * 1.7)), x34)
     check("square", lambda t: T.reduce_sum(T.square(t)), x34)
     check("matmul", lambda t: T.reduce_sum(T.square(T.matmul(t, b42))), x34)
+    rl = _rng(seed, "linear")
+    x234, w42, b2 = rl.normal(size=(2, 3, 4)), rl.normal(size=(4, 2)), rl.normal(size=(2,))
+    check("linear_x", lambda t: T.reduce_sum(T.square(T.linear(t, Tensor(w42), Tensor(b2)))), x234)
+    check("linear_w", lambda t: T.reduce_sum(T.square(T.linear(Tensor(x234), t, Tensor(b2)))), w42)
+    check("linear_b", lambda t: T.reduce_sum(T.square(T.linear(Tensor(x234), Tensor(w42), t))), b2)
     b32 = Tensor(r.normal(size=(3, 2)))
     check("transpose", lambda t: T.reduce_sum(T.square(T.matmul(T.transpose(t, (1, 0)), b32))), x34)
     b62 = Tensor(r.normal(size=(6, 2)))

@@ -165,9 +165,9 @@ def kfold_split(labels, k: int, seed: int) -> tuple[tuple[int, ...], ...]:
 class FinetuneResult:
     encoder: EncoderParams
     head: ClassifierHead
-    curve: list[float]            # validation AUROC per epoch
-    best_epoch: int
-    best_auroc: float
+    curve: list[float]            # validation AUROC per epoch; empty without validation
+    best_epoch: int               # the last epoch without validation
+    best_auroc: float             # nan without validation
     train_loss: list[float] = field(default_factory=list)
 
 
@@ -207,12 +207,17 @@ def finetune_arrays(encoder: EncoderParams, patches: np.ndarray, labels: np.ndar
     epoch the validation AUROC is recorded; the weights from the best epoch
     are what the returned model carries (select_best=False keeps the final
     epoch instead, for fixed-budget retraining, and snapshots nothing).
+    val_idx=None trains without validation: nothing is scored, the curve is
+    empty and the final epoch is kept (select_best must be False).
     Each step's autodiff tape is freed before the next step's forward.
     """
     train_idx = np.asarray(train_idx, dtype=np.intp)
-    val_idx = np.asarray(val_idx, dtype=np.intp)
-    if len(train_idx) == 0 or len(val_idx) == 0:
+    if val_idx is not None:
+        val_idx = np.asarray(val_idx, dtype=np.intp)
+    if len(train_idx) == 0 or (val_idx is not None and len(val_idx) == 0):
         raise DataError("fine-tuning needs non-empty train and validation sets")
+    if val_idx is None and select_best:
+        raise DataError("selecting the best epoch needs a validation set")
     head = ClassifierHead(encoder.cfg.dim, seed)
     enc_params = encoder.parameters()
     head_params = head.parameters()
@@ -251,6 +256,8 @@ def finetune_arrays(encoder: EncoderParams, patches: np.ndarray, labels: np.ndar
             opt_head.step(lr=cfg.head_lr * lr_scale)
             train_loss.append(value)
             step += 1
+        if val_idx is None:
+            continue
         val_scores = score_samples(patches[val_idx], grid_shape, encoder, head, cfg.pooling)
         epoch_auroc = auroc(val_scores, labels[val_idx])
         curve.append(epoch_auroc)
@@ -260,6 +267,8 @@ def finetune_arrays(encoder: EncoderParams, patches: np.ndarray, labels: np.ndar
                 best_state = _snapshot(all_params)
         if log is not None:
             log(f"epoch {epoch + 1}/{cfg.epochs} val_auroc {epoch_auroc:.4f}")
+    if val_idx is None:
+        best_epoch, best_auroc = cfg.epochs - 1, float("nan")
     if select_best:
         _restore(all_params, best_state)
     return FinetuneResult(encoder=encoder, head=head, curve=curve,

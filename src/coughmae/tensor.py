@@ -22,6 +22,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import NumericsError, ShapeError
+from .workers import split_halves
 
 DTYPE = np.float64
 
@@ -232,14 +233,12 @@ def square(a: Tensor) -> Tensor:
     return _node(a.data * a.data, "square", (a,), (lambda g: 2.0 * a.data * g,))
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product with numpy stacked-batch semantics; operands must be >= 2-d."""
-    a, b = _lift(a), _lift(b)
+def _matmul(a: Tensor, b: Tensor) -> tuple[np.ndarray, tuple[Callable, Callable]]:
+    """a @ b on the data after the shape checks, and its VJPs for a and b."""
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
-    out = a.data @ b.data
 
     def grad_a(g):
         return _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
@@ -247,7 +246,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def grad_b(g):
         return _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
 
-    return _node(out, "matmul", (a, b), (grad_a, grad_b))
+    return a.data @ b.data, (grad_a, grad_b)
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product with numpy stacked-batch semantics; operands must be >= 2-d."""
+    a, b = _lift(a), _lift(b)
+    out, vjps = _matmul(a, b)
+    return _node(out, "matmul", (a, b), vjps)
 
 
 # - Shape ops -
@@ -372,18 +378,42 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LAYER_NORM_EP
 
 
 def gelu(x: Tensor) -> Tensor:
-    """GELU, tanh approximation: 0.5 x (1 + tanh(sqrt(2/pi)(x + 0.044715 x^3)))."""
+    """GELU, tanh approximation: 0.5 x (1 + tanh(sqrt(2/pi)(x + 0.044715 x^3))).
+
+    The forward runs over the flattened arrays through workers.split_halves,
+    so on a free core the helper computes the second half. Each element
+    gets the expressions in the comments, in that order, whatever the
+    split, so the bits do not change. The halves allocate nothing; the
+    caller allocates every array. The VJP is not split: it has no pow or
+    tanh, costs about a tenth of the forward, and the hand-off made it
+    slower on the encoder's activations (0.17 -> 0.42 ms at 26,624 values).
+    """
     x = _lift(x)
-    v = x.data
-    u = _GELU_C * (v + _GELU_K * v ** 3)
-    t = np.tanh(u, out=u)   # u is not used again: one activation-sized array fewer
-    out = 0.5 * v * (1.0 + t)
+    v = x.data.reshape(-1)
+    t, out, scratch = np.empty_like(v), np.empty_like(v), np.empty_like(v)
+
+    def forward(lo, hi):
+        vs, ts, outs, ss = v[lo:hi], t[lo:hi], out[lo:hi], scratch[lo:hi]
+        # t = tanh(C * (v + K * v ** 3)), built in t's own buffer
+        np.power(vs, 3, out=ts)
+        np.multiply(_GELU_K, ts, out=ts)
+        np.add(vs, ts, out=ts)
+        np.multiply(_GELU_C, ts, out=ts)
+        np.tanh(ts, out=ts)
+        # out = 0.5 * v * (1.0 + t)
+        np.multiply(0.5, vs, out=outs)
+        np.add(1.0, ts, out=ss)
+        np.multiply(outs, ss, out=outs)
+
+    split_halves(forward, v.size)
+    del scratch     # before _node's finite check, so it adds nothing to the peak
 
     def vjp(g):
         du = _GELU_C * (1.0 + 3.0 * _GELU_K * v * v)
-        return g * (0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * du)
+        grad = g.reshape(-1) * (0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * du)
+        return grad.reshape(x.shape)
 
-    return _node(out, "gelu", (x,), (vjp,))
+    return _node(out.reshape(x.shape), "gelu", (x,), (vjp,))
 
 
 # - Reductions -
@@ -447,7 +477,11 @@ def cross_entropy_with_logits(logits: Tensor, labels) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return add(matmul(x, w), b)
+    """x @ w + b as one tape node, with the bits and gradients of add(matmul(x, w), b)."""
+    x, w, b = _lift(x), _lift(w), _lift(b)
+    out, vjps = _matmul(x, w)
+    out += b.data
+    return _node(out, "linear", (x, w, b), vjps + (lambda g: _unbroadcast(g, b.shape),))
 
 
 # - Backward -

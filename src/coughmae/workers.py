@@ -8,6 +8,16 @@ OpenBLAS is held to one thread while they run: between small GEMMs a
 second OpenBLAS thread only busy-waits on a core a worker needs. Results
 are bit-identical to running the jobs one after another, because each job
 computes the same expressions with the same single-threaded kernels.
+
+`in_order` counts the jobs it is running. While that count leaves a core
+free, `split_halves` lends it to elementwise work: the caller computes the
+first half of a flattened array and one helper thread the second half.
+Pretraining, which runs as one job, thus puts GELU's forward on both cores;
+two fold or chunk workers on a 2-core box leave no core free, so they do
+not split. The split also needs an idle helper and an array of
+MIN_SPLIT_SIZE elements or more; otherwise the caller computes the whole
+array. The halves write disjoint slices with the same ufuncs, so the bits
+do not depend on the split.
 """
 from __future__ import annotations
 
@@ -16,6 +26,7 @@ import contextlib
 import ctypes
 import functools
 import os
+import threading
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -24,6 +35,11 @@ import numpy as np
 # recording in 4.8-5.4 s instead of 7.8-8.7 s with one, and raise the bench's
 # 5-fold fine-tuning from 122 to 175 samples/s.
 MAX_WORKERS = 2
+
+# Smallest array split_halves splits. Near 5,000 elements the hand-off to the
+# helper eats the gain: on a 2-core box the GELU forward takes 1.31 ms whole
+# and 0.88 ms split at 16,384 values, 0.36 and 0.39 ms at 4,096.
+MIN_SPLIT_SIZE = 16384
 
 # (get, set) thread-count entry points: scipy-openblas as numpy wheels ship
 # it, then a plain OpenBLAS build.
@@ -38,6 +54,11 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:                 # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+_jobs_lock = threading.Lock()
+_jobs_running = 0                  # in_order jobs running now, in all pools
+_helper_idle = threading.Lock()    # held while a split's second half is out
 
 
 def worker_count() -> int:
@@ -64,7 +85,7 @@ def openblas_threads():
             get.argtypes, get.restype = (), ctypes.c_int
             set_.argtypes, set_.restype = (ctypes.c_int,), None
             return get, set_
-    return None
+    return None                    # numpy built on another BLAS (MKL, Accelerate)
 
 
 @contextlib.contextmanager
@@ -100,10 +121,20 @@ def in_order(fn: Callable, items: Iterable, workers: int) -> Iterator[Iterator]:
     """
     from concurrent.futures import ThreadPoolExecutor
 
+    def job(item):
+        global _jobs_running
+        with _jobs_lock:
+            _jobs_running += 1
+        try:
+            return fn(item)
+        finally:
+            with _jobs_lock:
+                _jobs_running -= 1
+
     def results(pool):
         pending = collections.deque()
         for item in items:
-            pending.append((item, pool.submit(fn, item)))
+            pending.append((item, pool.submit(job, item)))
             if len(pending) > workers:
                 head, future = pending.popleft()
                 yield head, future.result()
@@ -130,3 +161,44 @@ def on_worker(fn: Callable[[], object]):
     """
     with in_order(lambda _: fn(), [None], 1) as results:
         return next(results)[1]
+
+
+@functools.cache
+def _helper():
+    """The one helper thread, started by the first split."""
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="coughmae-helper")
+
+
+def _core_free() -> bool:
+    """Whether the running jobs leave a usable CPU free. The caller is one of
+    them, or the one busy thread when no job runs."""
+    return max(_jobs_running, 1) < _usable_cpus()
+
+
+def split_halves(fn: Callable[[int, int], None], size: int) -> None:
+    """Run fn(lo, hi) over [0, size), in two halves when a core is free.
+
+    fn must compute elements lo..hi-1 of its outputs from the same elements
+    of its inputs, the same way whatever the bounds. It must record no tape
+    node and call no function that perfbench's tracer wraps: the tracer
+    keeps one span stack for all threads. With at least MIN_SPLIT_SIZE
+    elements, a free core and an idle helper, the caller runs
+    fn(0, size // 2) while the helper runs fn(size // 2, size); otherwise
+    the caller runs fn(0, size). Either half's error reaches the caller,
+    raised once both halves have stopped writing, and the helper is free
+    again afterwards.
+    """
+    if size < MIN_SPLIT_SIZE or not _core_free() or not _helper_idle.acquire(blocking=False):
+        fn(0, size)
+        return
+    try:
+        half = size // 2
+        future = _helper().submit(fn, half, size)
+        try:
+            fn(0, half)
+        finally:
+            future.exception()             # waits for the helper's half
+        future.result()
+    finally:
+        _helper_idle.release()

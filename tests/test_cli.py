@@ -395,6 +395,29 @@ def test_finetune_final_model_extracts_features_once(pretrained, corpus, capsys,
     assert model.config["normalized"] and model.stats == load_checkpoint(pretrained).stats
 
 
+def test_final_model_retrain_scores_nothing(pretrained, corpus, capsys, tmp_path, monkeypatch):
+    scored, score_samples = [], coughmae.finetune.score_samples
+    retrain_scored = []
+
+    def counting(*args, **kwargs):
+        scored.append(args[0].shape[0])
+        return score_samples(*args, **kwargs)
+
+    def retrain(*args, **kwargs):
+        before = len(scored)
+        train_final_model(*args, **kwargs)
+        retrain_scored.append(len(scored) - before)
+
+    train_final_model = coughmae.cli._train_final_model
+    monkeypatch.setattr(coughmae.finetune, "score_samples", counting)
+    monkeypatch.setattr(coughmae.cli, "_train_final_model", retrain)
+    code, _, _ = run_cli(capsys, "finetune", "--config", str(finetune_config(tmp_path, corpus)),
+                         "--init", str(pretrained), "--final-model")
+    assert code == 0
+    assert scored and retrain_scored == [0]     # the folds validate, the retrain does not
+    assert (tmp_path / "ft" / "model.bin").exists()
+
+
 def test_stats_sidecar_matches_checkpoint_for_permuted_manifest(capsys, tmp_path):
     # Listed in this order, these four clips reduce to other last bits than
     # in sorted-path order.

@@ -358,6 +358,27 @@ def test_finetune_deterministic(small_task):
         assert np.array_equal(a.data, b.data)
 
 
+def test_finetune_without_validation_scores_nothing_and_keeps_bits(small_task, monkeypatch):
+    manifest, _, model_cfg, patches, grid = small_task
+    labels = manifest.labels()
+    cfg = FinetuneConfig(epochs=2, batch_size=4)
+
+    def run(val_idx):
+        return finetune_arrays(EncoderParams(model_cfg, seed=3), patches, labels, grid,
+                               np.arange(12), val_idx, cfg, seed=3, select_best=False)
+
+    validated = run(np.arange(12, 16))
+    monkeypatch.setattr(finetune_module, "score_samples", None)   # any call fails
+    blind = run(None)
+    assert blind.curve == [] and blind.best_epoch == 1 and np.isnan(blind.best_auroc)
+    params = zip(validated.encoder.parameters() + validated.head.parameters(),
+                 blind.encoder.parameters() + blind.head.parameters())
+    assert all(a.data.tobytes() == b.data.tobytes() for a, b in params)
+    with pytest.raises(DataError, match="validation set"):
+        finetune_arrays(EncoderParams(model_cfg, seed=3), patches, labels, grid,
+                        np.arange(12), None, cfg, seed=3)
+
+
 def test_finetune_manifest_split_fallback(small_task, tmp_path):
     manifest, mel_cfg, model_cfg, _, _ = small_task
     cfg = FinetuneConfig(epochs=1, batch_size=4)

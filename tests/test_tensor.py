@@ -1,4 +1,5 @@
 """Forward ops, reverse-mode gradients, and the finite-difference checker."""
+import os
 import threading
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import coughmae.tensor as T
+from coughmae import workers
 from coughmae.errors import NumericsError, ShapeError
 from coughmae.rng import seeded_rng, truncated_normal
 from coughmae.tensor import Parameter, Tensor
@@ -203,6 +205,22 @@ def test_linear_matches_manual():
     assert np.allclose(out.data, x @ w + b, atol=1e-15)
 
 
+def test_linear_is_one_node_with_the_bits_of_matmul_then_add():
+    r = np.random.default_rng(9)
+    x, w, b = r.normal(size=(2, 5, 3)), r.normal(size=(3, 4)), r.normal(size=4)
+    g = r.normal(size=(2, 5, 4))
+    runs = []
+    for fn in (T.linear, lambda x, w, b: T.add(T.matmul(x, w), b)):
+        leaves = [Parameter(v.copy(), n) for v, n in ((x, "x"), (w, "w"), (b, "b"))]
+        out = fn(*leaves)
+        T.backward(T.reduce_sum(out * Tensor(g)))
+        runs.append((out, [p.grad.tobytes() for p in leaves]))
+    (fused, fused_grads), (pair, pair_grads) = runs
+    assert fused._op == "linear" and fused._parents[0].name == "x"
+    assert fused.data.tobytes() == pair.data.tobytes()
+    assert fused_grads == pair_grads
+
+
 def test_non_finite_op_result_raises():
     with pytest.raises(NumericsError):
         T.scale(t([1.0, 2.0]), float("inf"))
@@ -287,3 +305,91 @@ def test_no_grad_leaves_grad_check_unchanged():
             mlp(point)
             raise RuntimeError("leave the block early")
     assert T.grad_check(mlp, point) == before < 1e-4
+
+
+# - GELU split over the helper -
+
+
+def gelu_unsplit(v, g):
+    """GELU forward and VJP as one numpy expression each, never split."""
+    u = T._GELU_C * (v + T._GELU_K * v ** 3)
+    tv = np.tanh(u)
+    du = T._GELU_C * (1.0 + 3.0 * T._GELU_K * v * v)
+    return 0.5 * v * (1.0 + tv), g * (0.5 * (1.0 + tv) + 0.5 * v * (1.0 - tv * tv) * du)
+
+
+@pytest.fixture
+def helper_halves(monkeypatch):
+    """(lo, hi) of every half handed to the helper."""
+    halves = []
+    pool = workers._helper()
+
+    class Recording:
+        def submit(self, fn, lo, hi):
+            halves.append((lo, hi))
+            return pool.submit(fn, lo, hi)
+
+    monkeypatch.setattr(workers, "_helper", Recording)
+    return halves
+
+
+@pytest.mark.parametrize("shape", [(8, 50, 256), (3, 5, 1093)], ids=["activation", "odd"])
+def test_gelu_split_bit_identical_to_unsplit(shape, cpus, helper_halves):
+    r = np.random.default_rng(11)
+    v, g = r.normal(size=shape) * 3.0, r.normal(size=shape)
+    assert v.min() < 0 and v.size >= workers.MIN_SPLIT_SIZE
+    out = T.gelu(Parameter(v.copy(), "x"))
+    (vjp,) = out._vjps
+    want_out, want_grad = gelu_unsplit(v, g)
+    assert out.data.tobytes() == want_out.tobytes()
+    assert vjp(g).tobytes() == want_grad.tobytes()   # -0.0 where g < 0 and t = -1
+    # the forward hands the helper its second half on 2 CPUs only
+    assert helper_halves == ([(v.size // 2, v.size)] if cpus == 2 else [])
+
+
+def test_gelu_not_split_below_the_minimum_size(cpus, helper_halves):
+    v = np.random.default_rng(12).normal(size=workers.MIN_SPLIT_SIZE - 1)
+    assert T.gelu(t(v)).data.tobytes() == gelu_unsplit(v, v)[0].tobytes()
+    assert helper_halves == []
+
+
+def test_no_split_while_every_worker_runs_a_job(cpus, helper_halves):
+    n = workers.worker_count()
+    v = np.random.default_rng(13).normal(size=(8, 50, 256))
+    started, done = threading.Barrier(n, timeout=30), threading.Barrier(n, timeout=30)
+
+    def job(_):
+        started.wait()                    # all n jobs are running
+        out = T.gelu(t(v)).data
+        done.wait()                       # none ends before the others computed
+        return out
+
+    with workers.in_order(job, range(n), n) as results:
+        outs = [out for _, out in results]
+    assert helper_halves == []
+    assert all(out.tobytes() == gelu_unsplit(v, v)[0].tobytes() for out in outs)
+
+
+@pytest.mark.parametrize("failing", ["helper", "caller"])
+def test_split_error_reaches_caller_and_frees_helper(failing, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    size = workers.MIN_SPLIT_SIZE
+    written = np.zeros(size)
+
+    def failing_half(lo, hi):
+        if (lo > 0) == (failing == "helper"):
+            raise ValueError(f"half at {lo}")
+        written[lo:hi] = 1.0
+
+    with pytest.raises(ValueError, match=f"half at {size // 2 if failing == 'helper' else 0}"):
+        workers.split_halves(failing_half, size)
+    # the other half ran to its end before the error was raised
+    assert written.sum() == size // 2
+    threads = {}
+
+    def half(lo, hi):
+        threads[lo] = threading.current_thread()
+
+    workers.split_halves(half, size)
+    assert threads[0] is threading.current_thread()
+    assert threads[size // 2] is not threading.current_thread()
