@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Does pretraining help? Fine-tune from a pretrained checkpoint vs scratch.
+"""Does pretraining help? Rerun acceptance criterion 5: pretrained vs scratch.
 
-Builds two disjoint synthetic corpora (an unlabelled-style pretraining pool
-and a smaller labelled task), pretrains once, then fine-tunes both arms over
-several seeds with an identical budget and prints the per-seed AUROC table.
+Runs the experiment tests/test_acceptance.py defines: two disjoint synthetic
+corpora (an unlabelled-style pretraining pool and a smaller labelled task),
+one pretraining run, then both arms fine-tuned over several seeds with the
+same recipe. Prints the per-seed last-epoch AUROC table; the default sizes
+are the criterion's own, so they give its numbers.
 
     python3 scripts/pretrain_vs_scratch.py --out runs/utility
 """
@@ -15,75 +17,31 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from coughmae.checkpoint import load_checkpoint
-from coughmae.dsp import MelConfig, synth_dataset
-from coughmae.finetune import FinetuneConfig, prepare_finetune
-from coughmae.mae import PretrainConfig, pretrain
-from coughmae.rng import seeded_rng
-from coughmae.vit import ModelConfig
+from test_acceptance import CRITERION_5_SIZES, pretraining_utility
 
 
 def log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def stratified_split(labels: np.ndarray, per_class_train: int, per_class_test: int,
-                     seed: int) -> tuple[list[int], list[int]]:
-    rng = seeded_rng(seed, "split")
-    train: list[int] = []
-    test: list[int] = []
-    for c in sorted(set(labels.tolist())):
-        idx = np.flatnonzero(labels == c)
-        perm = idx[rng.permutation(idx.size)]
-        train += perm[:per_class_train].tolist()
-        test += perm[per_class_train:per_class_train + per_class_test].tolist()
-    return sorted(train), sorted(test)
-
-
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", required=True)
-    ap.add_argument("--pool-size", type=int, default=256)
-    ap.add_argument("--task-size", type=int, default=96)
-    ap.add_argument("--pretrain-epochs", type=int, default=100)
-    ap.add_argument("--seeds", type=int, default=5, help="fine-tuning seed count")
+    for name, default in CRITERION_5_SIZES.items():
+        ap.add_argument("--" + name.replace("_", "-"), type=int, default=default)
     args = ap.parse_args()
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    mel_cfg = MelConfig()
-    model_cfg = ModelConfig()
+    pre_scores, scratch_scores = pretraining_utility(
+        out, **{name: getattr(args, name) for name in CRITERION_5_SIZES}, log=log)
 
-    pool = synth_dataset(out / "pool", args.pool_size, seed=777)
-    log(f"pretraining on {len(pool)} samples for {args.pretrain_epochs} epochs")
-    pretrain(pool, mel_cfg, model_cfg,
-             PretrainConfig(epochs=args.pretrain_epochs, batch_size=8),
-             seed=7, out_dir=out / "pretrained", log=log)
-    ckpt = load_checkpoint(out / "pretrained" / "checkpoint.bin")
-
-    task = synth_dataset(out / "task", args.task_size, seed=123)
-    labels = task.labels()
-    per_class = args.task_size // 2
-    train_idx, test_idx = stratified_split(labels, per_class * 2 // 3,
-                                           per_class // 3, seed=123)
-    log(f"task split: {len(train_idx)} train / {len(test_idx)} test")
-
-    # small batches buy enough optimizer steps for the 10-epoch budget
-    ft_cfg = FinetuneConfig(pooling="mean", encoder_lr=3e-3, head_lr=3e-2,
-                            batch_size=2, warmup_frac=0.2)
-    pretrained = prepare_finetune(ckpt, task, mel_cfg, model_cfg, ft_cfg)
-    scratch = prepare_finetune(None, task, mel_cfg, model_cfg, ft_cfg)
     rows = ["seed,pretrained_auroc,scratch_auroc"]
-    pre_scores, scratch_scores = [], []
-    for seed in range(args.seeds):
-        pre_scores.append(pretrained.run(train_idx, test_idx, ft_cfg, seed).curve[-1])
-        scratch_scores.append(scratch.run(train_idx, test_idx, ft_cfg, seed).curve[-1])
-        rows.append(f"{seed},{pre_scores[-1]:.4f},{scratch_scores[-1]:.4f}")
-        log(f"seed {seed}: pretrained {pre_scores[-1]:.4f} "
-            f"vs scratch {scratch_scores[-1]:.4f}")
-
+    rows += [f"{seed},{pre:.4f},{scr:.4f}"
+             for seed, (pre, scr) in enumerate(zip(pre_scores, scratch_scores))]
     mean_pre = float(np.mean(pre_scores))
     mean_scr = float(np.mean(scratch_scores))
     rows.append(f"mean,{mean_pre:.4f},{mean_scr:.4f}")

@@ -5,8 +5,7 @@ two-logit linear head plus softmax gives class probabilities, and quality is
 measured by rank-based AUROC. Fine-tuning updates the whole network with
 separate learning rates for encoder and head, after clipping the gradient of
 encoder and head together to one global L2 norm (MAX_GRAD_NORM, 1.0 as in
-ViT fine-tuning); the epoch with the best validation AUROC is the one whose
-weights are kept.
+ViT fine-tuning).
 """
 from __future__ import annotations
 
@@ -24,7 +23,7 @@ from .errors import (CheckpointError, ConfigError, CoughMaeError, DataError,
 from .mae import prepare_patches
 from .optim import AdamW, clip_grad_norm, warmup_cosine_lr
 from .rng import seeded_rng
-from .tensor import Parameter, Tensor
+from .tensor import Tensor
 from .vit import (EncoderParams, LinearParams, ModelConfig, TokenSequence, embed,
                   encode, patchify)
 from .workers import in_order, worker_count
@@ -185,18 +184,9 @@ def score_samples(patches: np.ndarray, grid_shape, encoder: EncoderParams,
     return np.concatenate(out)
 
 
-def _snapshot(params: list[Parameter]) -> dict[str, np.ndarray]:
-    return {p.name: p.data.copy() for p in params}
-
-
-def _restore(params: list[Parameter], snap: dict[str, np.ndarray]) -> None:
-    for p in params:
-        p.data[...] = snap[p.name]
-
-
 def finetune_arrays(encoder: EncoderParams, patches: np.ndarray, labels: np.ndarray,
                     grid_shape, train_idx, val_idx, cfg: FinetuneConfig, seed: int,
-                    select_best: bool = True, log=None) -> FinetuneResult:
+                    log=None) -> FinetuneResult:
     """Fine-tune encoder+head on pre-extracted patches.
 
     Full fine-tuning: the encoder moves at cfg.encoder_lr and the fresh head
@@ -204,11 +194,10 @@ def finetune_arrays(encoder: EncoderParams, patches: np.ndarray, labels: np.ndar
     the two optimizer steps, the gradient of encoder and head together is
     clipped to one global L2 norm, MAX_GRAD_NORM (clipping each group on
     its own leaves more runs from a pretrained encoder stalled). After every
-    epoch the validation AUROC is recorded; the weights from the best epoch
-    are what the returned model carries (select_best=False keeps the final
-    epoch instead, for fixed-budget retraining, and snapshots nothing).
-    val_idx=None trains without validation: nothing is scored, the curve is
-    empty and the final epoch is kept (select_best must be False).
+    epoch the validation AUROC is recorded, and best_epoch/best_auroc name
+    the curve's maximum; the returned model always carries the final
+    epoch's weights. val_idx=None trains without validation: nothing is
+    scored and the curve is empty.
     Each step's autodiff tape is freed before the next step's forward.
     """
     train_idx = np.asarray(train_idx, dtype=np.intp)
@@ -216,8 +205,6 @@ def finetune_arrays(encoder: EncoderParams, patches: np.ndarray, labels: np.ndar
         val_idx = np.asarray(val_idx, dtype=np.intp)
     if len(train_idx) == 0 or (val_idx is not None and len(val_idx) == 0):
         raise DataError("fine-tuning needs non-empty train and validation sets")
-    if val_idx is None and select_best:
-        raise DataError("selecting the best epoch needs a validation set")
     head = ClassifierHead(encoder.cfg.dim, seed)
     enc_params = encoder.parameters()
     head_params = head.parameters()
@@ -233,7 +220,6 @@ def finetune_arrays(encoder: EncoderParams, patches: np.ndarray, labels: np.ndar
     curve: list[float] = []
     train_loss: list[float] = []
     best_epoch, best_auroc = -1, -np.inf
-    best_state: dict[str, np.ndarray] | None = None
     step = 0
     for epoch in range(cfg.epochs):
         order = train_idx[shuffle_rng.permutation(len(train_idx))]
@@ -263,14 +249,10 @@ def finetune_arrays(encoder: EncoderParams, patches: np.ndarray, labels: np.ndar
         curve.append(epoch_auroc)
         if epoch_auroc > best_auroc:
             best_epoch, best_auroc = epoch, epoch_auroc
-            if select_best:
-                best_state = _snapshot(all_params)
         if log is not None:
             log(f"epoch {epoch + 1}/{cfg.epochs} val_auroc {epoch_auroc:.4f}")
     if val_idx is None:
         best_epoch, best_auroc = cfg.epochs - 1, float("nan")
-    if select_best:
-        _restore(all_params, best_state)
     return FinetuneResult(encoder=encoder, head=head, curve=curve,
                           best_epoch=best_epoch, best_auroc=best_auroc,
                           train_loss=train_loss)
@@ -376,14 +358,14 @@ class FinetuneData:
     init: Model | None
 
     def run(self, train_idx, val_idx, cfg: FinetuneConfig, seed: int,
-            **kwargs) -> FinetuneResult:
+            log=None) -> FinetuneResult:
         """finetune_arrays from a fresh encoder: a copy of the init's, or drawn from seed."""
         encoder = EncoderParams(self.model_cfg, seed if self.init is None else None)
         if self.init is not None:
             load_into({p.name: p.data for p in self.init.encoder.parameters()},
                       encoder.parameters())
         return finetune_arrays(encoder, self.patches, self.labels, self.grid_shape,
-                               train_idx, val_idx, cfg, seed, **kwargs)
+                               train_idx, val_idx, cfg, seed, log=log)
 
 
 def prepare_finetune(init: Checkpoint | None, manifest: DatasetManifest,
@@ -396,23 +378,6 @@ def prepare_finetune(init: Checkpoint | None, manifest: DatasetManifest,
                                              stats=None if model is None else model.stats)
     return FinetuneData(patches=patches, grid_shape=grid_shape, labels=manifest.labels(),
                         model_cfg=model_cfg, init=model)
-
-
-def finetune(init, manifest: DatasetManifest, mel_cfg: MelConfig,
-             model_cfg: ModelConfig, cfg: FinetuneConfig, seed: int,
-             train_idx=None, val_idx=None, log=None) -> FinetuneResult:
-    """Fine-tune from a Checkpoint or from scratch (init=None), as prepare_finetune sets up.
-
-    Without explicit index lists, entries tagged split=train/val are used.
-    """
-    if train_idx is None or val_idx is None:
-        split_of = [e.split for e in manifest.entries]
-        train_idx = [i for i, s in enumerate(split_of) if s == "train"]
-        val_idx = [i for i, s in enumerate(split_of) if s in ("val", "test")]
-        if not train_idx or not val_idx:
-            raise DataError("manifest lacks train/val split tags and no indices were given")
-    return prepare_finetune(init, manifest, mel_cfg, model_cfg, cfg).run(
-        train_idx, val_idx, cfg, seed, log=log)
 
 
 # - Cross-validation -
@@ -466,8 +431,7 @@ def cross_validate(data: FinetuneData, cfg: FinetuneConfig, seed: int,
         val_idx = np.array(fold, dtype=np.intp)
         train_idx = np.array(sorted(set(range(len(data.labels))) - set(fold)), dtype=np.intp)
         lines: list[str] = []
-        # The fold's weights are not reported, so no best-epoch snapshot is kept.
-        result = data.run(train_idx, val_idx, cfg, seed * 1000 + f, select_best=False,
+        result = data.run(train_idx, val_idx, cfg, seed * 1000 + f,
                           log=lines.append if log else None)
         return result.best_auroc, result.best_epoch, result.curve, lines
 

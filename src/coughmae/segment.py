@@ -26,10 +26,11 @@ from .workers import in_order, worker_count
 
 _OVERLAP_TOL = 1e-12
 
-# Windows being scored at once, which bounds the memory a long recording
-# needs. One worker scores all 32 per call (128 was slower and used more
-# memory); two workers score 16 each, as 2 x 32 peaked 13% higher.
-SCORE_CHUNK = 32
+# Windows per scorer call, at any worker count; it bounds the memory a long
+# recording needs. Two workers of 32 peaked 13% higher than two of 16, and
+# one worker of 32 had glibc trim and refault its heap after every chunk
+# (about 233,000 minor faults per 60 s recording, against 3,100 at 16).
+SCORE_CHUNK = 16
 
 Scorer = Callable[[Waveform, np.ndarray, int], np.ndarray]
 
@@ -96,16 +97,16 @@ def slide(wave: Waveform, scorer: Scorer, cfg: SegmentationConfig) -> list[Event
     """Score every full window and merge positive ones into events.
 
     Window offsets are whole multiples of the step in samples. Each scorer
-    call gets consecutive ascending offsets, SCORE_CHUNK // W at most, where
-    W is workers.worker_count(). The scorer runs in W worker threads, never in
-    the caller's thread, and with W > 1 its calls overlap, so it must be
-    thread-safe and must not rely on the caller's per-thread state (such as
-    tensor.no_grad). OpenBLAS is held to one thread while slide runs, and
-    its count is restored when slide returns or raises. Every window is
-    scored exactly once, and results are consumed in offset order, so a bad
-    probability is reported at the earliest offset. Each event spans from
-    the first positive window's start to the last positive window's end.
-    Audio shorter than one window yields no events.
+    call gets consecutive ascending offsets, SCORE_CHUNK at most. The scorer
+    runs in W = workers.worker_count() worker threads, never in the caller's
+    thread, and with W > 1 its calls overlap, so it must be thread-safe and
+    must not rely on the caller's per-thread state (such as tensor.no_grad).
+    OpenBLAS is held to one thread while slide runs, and its count is
+    restored when slide returns or raises. Every window is scored exactly
+    once, and results are consumed in offset order, so a bad probability is
+    reported at the earliest offset. Each event spans from the first
+    positive window's start to the last positive window's end. Audio
+    shorter than one window yields no events.
     """
     rate = wave.sample_rate
     win = int(round(cfg.window * rate))
@@ -113,12 +114,11 @@ def slide(wave: Waveform, scorer: Scorer, cfg: SegmentationConfig) -> list[Event
     if step <= 0 or win <= 0:
         raise DataError(f"window/step too small for rate {rate}")
     starts = range(0, len(wave.samples) - win + 1, step)
-    workers = worker_count()
-    size = SCORE_CHUNK // workers
-    chunks = (np.asarray(starts[lo:lo + size], dtype=np.intp)
-              for lo in range(0, len(starts), size))
+    chunks = (np.asarray(starts[lo:lo + SCORE_CHUNK], dtype=np.intp)
+              for lo in range(0, len(starts), SCORE_CHUNK))
     positives: list[tuple[float, float]] = []
-    with in_order(lambda offsets: scorer(wave, offsets, win), chunks, workers) as scored:
+    with in_order(lambda offsets: scorer(wave, offsets, win), chunks,
+                  worker_count()) as scored:
         for offsets, probs in scored:
             probs = np.asarray(probs, dtype=np.float64)
             if probs.shape != offsets.shape:

@@ -19,7 +19,7 @@ from coughmae.cli import main as cli_main
 from coughmae.diagnostics import TOLERANCE, full_battery, pretrain_loss_check
 from coughmae.dsp import (DatasetManifest, ManifestEntry, MelConfig, Waveform,
                           save_manifest, save_wav, synth_dataset)
-from coughmae.finetune import FinetuneConfig, auroc, finetune, finetune_arrays
+from coughmae.finetune import FinetuneConfig, auroc, finetune_arrays, prepare_finetune
 from coughmae.mae import (PretrainConfig, build_pretrain_model,
                           decode, masked_mse, patch_norm_targets, prepare_patches,
                           pretrain, restore_with_mask_tokens, sample_mask,
@@ -145,42 +145,68 @@ def test_criterion_4_overfit_experiment(tmp_path):
 # 5. Pre-training utility ----------------------------------------------------
 
 
-def test_criterion_5_pretraining_utility(tmp_path):
-    t0 = time.monotonic()
-    pool = synth_dataset(tmp_path / "pool", 256, seed=777)
-    pretrain(pool, MelConfig(), ModelConfig(),
-             PretrainConfig(epochs=100, batch_size=8), seed=7,
-             out_dir=tmp_path / "pre")
-    ckpt = load_checkpoint(tmp_path / "pre" / "checkpoint.bin")
+# The experiment; scripts/pretrain_vs_scratch.py reruns it and takes its
+# size options' defaults from here.
+CRITERION_5_SIZES = {"pool_size": 256, "task_size": 96, "pretrain_epochs": 100, "seeds": 5}
 
-    task = synth_dataset(tmp_path / "task", 96, seed=123)
-    labels = task.labels()
-    rng = seeded_rng(123, "split")
-    train_idx: list[int] = []
-    test_idx: list[int] = []
-    for c in (0, 1):
+# Small batches buy enough optimizer steps for the 10-epoch budget.
+UTILITY_RECIPE = FinetuneConfig(pooling="mean", encoder_lr=3e-3, head_lr=3e-2,
+                                batch_size=2, warmup_frac=0.2)
+
+
+def stratified_split(labels: np.ndarray, per_class_train: int, per_class_test: int,
+                     seed: int) -> tuple[list[int], list[int]]:
+    """Disjoint sorted train/test indices with a fixed count from each class."""
+    rng = seeded_rng(seed, "split")
+    train: list[int] = []
+    test: list[int] = []
+    for c in sorted(set(labels.tolist())):
         idx = np.flatnonzero(labels == c)
         perm = idx[rng.permutation(idx.size)]
-        train_idx += perm[:32].tolist()
-        test_idx += perm[32:48].tolist()
-    train_idx, test_idx = sorted(train_idx), sorted(test_idx)
+        train += perm[:per_class_train].tolist()
+        test += perm[per_class_train:per_class_train + per_class_test].tolist()
+    return sorted(train), sorted(test)
 
-    ft_cfg = FinetuneConfig(pooling="mean", encoder_lr=3e-3, head_lr=3e-2,
-                            batch_size=2, warmup_frac=0.2)
+
+def pretraining_utility(root: Path, pool_size: int, task_size: int, pretrain_epochs: int,
+                        seeds: int, log=None) -> tuple[list[float], list[float]]:
+    """Pretrain on one synthetic corpus, then fine-tune a pretrained and a
+    scratch encoder on a disjoint labelled one with the same recipe.
+
+    The task splits 2/3 : 1/3 per class into train and test. Returns the
+    per-seed last-epoch test AUROCs of the pretrained and the scratch arm.
+    """
+    pool = synth_dataset(root / "pool", pool_size, seed=777)
+    pretrain(pool, MelConfig(), ModelConfig(),
+             PretrainConfig(epochs=pretrain_epochs, batch_size=8), seed=7,
+             out_dir=root / "pretrained", log=log)
+    ckpt = load_checkpoint(root / "pretrained" / "checkpoint.bin")
+
+    task = synth_dataset(root / "task", task_size, seed=123)
+    per_class = task_size // 2
+    train_idx, test_idx = stratified_split(task.labels(), per_class * 2 // 3,
+                                           per_class // 3, seed=123)
+    arms = [prepare_finetune(init, task, MelConfig(), ModelConfig(), UTILITY_RECIPE)
+            for init in (ckpt, None)]
     pre_scores, scratch_scores = [], []
-    for seed in range(5):
-        r_pre = finetune(ckpt, task, MelConfig(), ModelConfig(), ft_cfg, seed,
-                         train_idx=train_idx, val_idx=test_idx)
-        r_scr = finetune(None, task, MelConfig(), ModelConfig(), ft_cfg, seed,
-                         train_idx=train_idx, val_idx=test_idx)
-        pre_scores.append(r_pre.curve[-1])
-        scratch_scores.append(r_scr.curve[-1])
+    for seed in range(seeds):
+        for arm, scores in zip(arms, (pre_scores, scratch_scores)):
+            scores.append(arm.run(train_idx, test_idx, UTILITY_RECIPE, seed).curve[-1])
+        if log is not None:
+            log(f"seed {seed}: pretrained {pre_scores[-1]:.4f} "
+                f"vs scratch {scratch_scores[-1]:.4f}")
+    return pre_scores, scratch_scores
+
+
+def test_criterion_5_pretraining_utility(tmp_path):
+    t0 = time.monotonic()
+    pre_scores, scratch_scores = pretraining_utility(tmp_path, **CRITERION_5_SIZES)
     dt = time.monotonic() - t0
     mean_pre = float(np.mean(pre_scores))
     mean_scr = float(np.mean(scratch_scores))
     ok = mean_pre >= 0.90 and (mean_pre - mean_scr) >= 0.03 and dt < 1200.0
     assert report(5, ok, f"pretrained {mean_pre:.3f} vs scratch {mean_scr:.3f} "
-                         f"over 5 seeds, {dt:.0f}s")
+                         f"over {len(pre_scores)} seeds, {dt:.0f}s")
 
 
 # 6. Ablation machinery ------------------------------------------------------
@@ -201,8 +227,8 @@ def ablation_matrix(manifest: DatasetManifest, out_root: Path) -> dict:
             ckpt = load_checkpoint(pre_dir / "checkpoint.bin")
             for pooling in ("cls", "mean"):
                 ft_cfg = FinetuneConfig(epochs=2, batch_size=4, pooling=pooling)
-                r = finetune(ckpt, manifest, MelConfig(), ModelConfig(), ft_cfg,
-                             seed=11, train_idx=np.arange(n), val_idx=np.arange(n))
+                data = prepare_finetune(ckpt, manifest, MelConfig(), ModelConfig(), ft_cfg)
+                r = data.run(np.arange(n), np.arange(n), ft_cfg, seed=11)
                 curves[(rho, attn, pooling)] = pre_curve + tuple(r.train_loss)
     return curves
 

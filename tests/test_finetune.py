@@ -15,7 +15,7 @@ from coughmae.checkpoint import Checkpoint, load_into
 from coughmae.dsp import DatasetManifest, MelConfig, synth_dataset
 from coughmae.errors import CheckpointError, ConfigError, DataError, NumericsError, ShapeError
 from coughmae.finetune import (ClassifierHead, EvalReport, FinetuneConfig,
-                               FinetuneResult, auroc, classify, cross_validate, finetune,
+                               FinetuneResult, auroc, classify, cross_validate,
                                finetune_arrays, kfold_split, load_model, pool,
                                prepare_finetune)
 from coughmae.mae import prepare_patches
@@ -365,7 +365,7 @@ def test_finetune_without_validation_scores_nothing_and_keeps_bits(small_task, m
 
     def run(val_idx):
         return finetune_arrays(EncoderParams(model_cfg, seed=3), patches, labels, grid,
-                               np.arange(12), val_idx, cfg, seed=3, select_best=False)
+                               np.arange(12), val_idx, cfg, seed=3)
 
     validated = run(np.arange(12, 16))
     monkeypatch.setattr(finetune_module, "score_samples", None)   # any call fails
@@ -374,17 +374,6 @@ def test_finetune_without_validation_scores_nothing_and_keeps_bits(small_task, m
     params = zip(validated.encoder.parameters() + validated.head.parameters(),
                  blind.encoder.parameters() + blind.head.parameters())
     assert all(a.data.tobytes() == b.data.tobytes() for a, b in params)
-    with pytest.raises(DataError, match="validation set"):
-        finetune_arrays(EncoderParams(model_cfg, seed=3), patches, labels, grid,
-                        np.arange(12), None, cfg, seed=3)
-
-
-def test_finetune_manifest_split_fallback(small_task, tmp_path):
-    manifest, mel_cfg, model_cfg, _, _ = small_task
-    cfg = FinetuneConfig(epochs=1, batch_size=4)
-    # entries carry no split tags and no explicit indices were given
-    with pytest.raises(DataError):
-        finetune(None, manifest, mel_cfg, model_cfg, cfg, seed=0)
 
 
 def test_cross_validate_report(small_task):
@@ -416,7 +405,7 @@ def test_finetune_step_frees_its_tape(small_task):
         tracemalloc.start()
         try:
             finetune_arrays(encoder, patches, manifest.labels(), grid, train_idx,
-                            np.arange(12, 16), cfg, seed=0, select_best=False)
+                            np.arange(12, 16), cfg, seed=0)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -437,7 +426,7 @@ def test_cross_validate_bit_identical_across_cpus(small_task, cpus, monkeypatch)
     want = []
     for f, fold in enumerate(kfold_split(data.labels, cfg.k_folds, 5)):
         train_idx = np.setdiff1d(np.arange(len(data.labels)), fold)
-        want.append(data.run(train_idx, np.array(fold), cfg, 5000 + f, select_best=False))
+        want.append(data.run(train_idx, np.array(fold), cfg, 5000 + f))
     want_report = EvalReport(pooling=cfg.pooling, fold_auroc=[r.best_auroc for r in want],
                              best_epochs=[r.best_epoch for r in want],
                              curves=[r.curve for r in want],

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from test_acceptance import pretraining_utility
+
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -28,10 +30,17 @@ def test_run_ablation_writes_csv(tmp_path):
 
 
 def test_pretrain_vs_scratch_writes_csv(tmp_path):
-    run_script("pretrain_vs_scratch.py", "--out", str(tmp_path), "--pool-size", "8",
+    """The script's table is criterion 5's experiment run at the given sizes."""
+    run_script("pretrain_vs_scratch.py", "--out", str(tmp_path / "script"), "--pool-size", "8",
                "--task-size", "12", "--pretrain-epochs", "1", "--seeds", "1")
-    rows = read_rows(tmp_path / "comparison.csv")
+    rows = read_rows(tmp_path / "script" / "comparison.csv")
     assert [r["seed"] for r in rows] == ["0", "mean"]
     for r in rows:
         assert 0.0 <= float(r["pretrained_auroc"]) <= 1.0
         assert 0.0 <= float(r["scratch_auroc"]) <= 1.0
+    (pre,), (scratch,) = pretraining_utility(tmp_path / "direct", pool_size=8, task_size=12,
+                                             pretrain_epochs=1, seeds=1)
+    assert rows[0] == {"seed": "0", "pretrained_auroc": f"{pre:.4f}",
+                       "scratch_auroc": f"{scratch:.4f}"}
+    ckpt = Path("pretrained") / "checkpoint.bin"
+    assert (tmp_path / "script" / ckpt).read_bytes() == (tmp_path / "direct" / ckpt).read_bytes()

@@ -183,8 +183,7 @@ def test_slide_passes_bounded_ordered_chunks():
 
 def test_slide_names_earliest_non_finite_offset(cpus):
     """A NaN in chunk 3 that is scored before chunk 1's NaN is not reported."""
-    size = SCORE_CHUNK // cpus
-    first, later = size + 3, 3 * size + 5
+    first, later = SCORE_CHUNK + 3, 3 * SCORE_CHUNK + 5
     calls = []
 
     def scorer(w, offsets, win):
@@ -198,7 +197,7 @@ def test_slide_names_earliest_non_finite_offset(cpus):
     # Chunk 1 is consumed with at most `cpus` chunks submitted after it; the
     # remaining ~120 are never scored.
     assert len(calls) <= 2 + cpus
-    assert sorted(calls) == [k * size for k in range(len(calls))]
+    assert sorted(calls) == [k * SCORE_CHUNK for k in range(len(calls))]
 
 
 def test_slide_names_offset_of_non_finite_probability():
@@ -234,7 +233,7 @@ def trained_scorer(tmp_path_factory):
                          pooling="mean", warmup_frac=0.1)
     result = finetune_arrays(EncoderParams(model_cfg, seed=0), patches,
                              manifest.labels(), grid, np.arange(18),
-                             np.arange(18, 24), cfg, seed=0, select_best=False)
+                             np.arange(18, 24), cfg, seed=0)
     enc, head = result.encoder, result.head
 
     def window_prob(window: Waveform) -> float:
@@ -249,7 +248,8 @@ def trained_scorer(tmp_path_factory):
     return build_scorer(enc, head, mel_cfg, "mean", stats), per_window(window_prob), recording
 
 
-@pytest.mark.parametrize("n_windows", [1, SCORE_CHUNK, SCORE_CHUNK + 1, None])
+@pytest.mark.parametrize("n_windows", [1, SCORE_CHUNK, SCORE_CHUNK + 1, 2 * SCORE_CHUNK,
+                                       2 * SCORE_CHUNK + 1, None])
 def test_batched_scorer_matches_per_window(trained_scorer, n_windows):
     batched, reference, recording = trained_scorer
     win, step = 6400, 160
