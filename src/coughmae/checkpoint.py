@@ -8,9 +8,12 @@ the run configuration, normalization statistics and a parameter manifest
 passes; for a model it is parameters() order (encoder patch projection, CLS
 token, blocks, final norm, then decoder or head). Because the digest covers
 header and blobs alike, truncation or bit rot anywhere fails loudly at load
-time, before the header is parsed. Files are written to a temporary sibling
-and renamed over the target, so an interrupted save leaves the previous
-checkpoint intact.
+time, before the header is parsed. A header that passes the digest is still
+checked for structure (config and stats objects, a manifest of named,
+non-negative shapes whose byte ranges fit the blobs) before any array is
+read, so a malformed file is a CheckpointError naming it. Files are written
+to a temporary sibling and renamed over the target, so an interrupted save
+leaves the previous checkpoint intact.
 
 A model checkpoint (save_model writes it, finetune.load_model rebuilds the
 model) describes itself. Header `config` keys: kind ("pretrain": encoder +
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 from dataclasses import asdict, dataclass, is_dataclass
@@ -112,16 +116,33 @@ def load_checkpoint(path) -> Checkpoint:
         header = json.loads(data[pos:pos + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt header: {exc}") from None
-    pos += header_len
-    blob = data[pos:end]
+    arrays = _read_arrays(header, data[pos + header_len:end], path)
+    return Checkpoint(config=header["config"], stats=header["stats"], arrays=arrays)
+
+
+def _read_arrays(header, blob: bytes, path) -> dict[str, np.ndarray]:
+    """The header's parameters, read from the blobs after checking its structure:
+    a valid digest can cover a malformed header."""
+    def count(v) -> bool:
+        return type(v) is int and v >= 0
+
+    if not (isinstance(header, dict) and isinstance(header.get("config"), dict)
+            and isinstance(header.get("stats", 0), (dict, type(None)))
+            and isinstance(header.get("params"), list)):
+        raise CheckpointError(f"{path}: malformed header: needs a config object, "
+                              f"a stats object or null, and a params list")
     arrays: dict[str, np.ndarray] = {}
     for entry in header["params"]:
-        lo, hi = entry["offset"], entry["offset"] + entry["nbytes"]
-        if hi > len(blob):
-            raise CheckpointError(f"{path}: parameter {entry['name']} out of range")
-        arr = np.frombuffer(blob[lo:hi], dtype="<f8").reshape(entry["shape"])
-        arrays[entry["name"]] = arr.astype(np.float64)
-    return Checkpoint(config=header["config"], stats=header["stats"], arrays=arrays)
+        name, shape, lo, nbytes = (entry.get(k) if isinstance(entry, dict) else None
+                                   for k in ("name", "shape", "offset", "nbytes"))
+        if not (isinstance(name, str) and isinstance(shape, list) and all(map(count, shape))
+                and count(lo) and count(nbytes) and nbytes == 8 * math.prod(shape)):
+            raise CheckpointError(f"{path}: malformed parameter entry {str(entry)[:120]}")
+        if lo + nbytes > len(blob):
+            raise CheckpointError(f"{path}: parameter {name} out of range")
+        arr = np.frombuffer(blob[lo:lo + nbytes], dtype="<f8").reshape(shape)
+        arrays[name] = arr.astype(np.float64)
+    return arrays
 
 
 def load_into(arrays: dict[str, np.ndarray], params) -> None:

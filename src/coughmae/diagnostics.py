@@ -12,10 +12,11 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .mae import build_pretrain_model, pretrain_step_loss, sample_mask
+from .mae import DecoderParams, pretrain_step_loss, sample_mask
 from .rng import seeded_rng
 from .tensor import Tensor, grad_check, grad_check_params
-from .vit import AttentionParams, BlockParams, ModelConfig, multi_head_attention, transformer_block
+from .vit import (AttentionParams, BlockParams, EncoderParams, ModelConfig, multi_head_attention,
+                  transformer_block)
 
 TOLERANCE = 1e-4
 
@@ -118,17 +119,16 @@ def model_battery(seed: int = 0) -> list[tuple[str, float]]:
 
 def pretrain_loss_check(seed: int = 0, coords_per_param: int = 6,
                         model_cfg: ModelConfig | None = None,
-                        n_patches: int = 48, grid_shape=(6, 8),
-                        mask_ratio: float = 0.75) -> float:
+                        n_patches: int = 48, mask_ratio: float = 0.75) -> float:
     """grad_check_params over the full desk-scale pretraining loss."""
     cfg = model_cfg or ModelConfig()
-    encoder, decoder = build_pretrain_model(cfg, seed)
+    encoder, decoder = EncoderParams(cfg, seed), DecoderParams(cfg, seed)
     batch = _rng(seed, "pretrain.batch").normal(size=(2, n_patches, cfg.patch_values))
     plan = sample_mask(n_patches, mask_ratio, _rng(seed, "pretrain.mask"))
     params = encoder.parameters() + decoder.parameters()
 
     def loss_fn():
-        return pretrain_step_loss(batch, grid_shape, encoder, decoder, plan, mode="global")
+        return pretrain_step_loss(batch, encoder, decoder, plan, mode="global")
 
     return grad_check_params(loss_fn, params, coords_per_param=coords_per_param,
                              rng=_rng(seed, "pretrain.coords"))

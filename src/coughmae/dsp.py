@@ -81,14 +81,6 @@ class MelSpectrogram:
     values: np.ndarray
     normalized: bool = False
 
-    @property
-    def n_frames(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_bins(self) -> int:
-        return self.values.shape[1]
-
 
 # - WAV I/O -
 
@@ -384,10 +376,6 @@ def normalize(spec: MelSpectrogram, mean: float, std: float) -> MelSpectrogram:
     if spec.normalized:
         raise NumericsError("spectrogram is already normalized")
     return MelSpectrogram(values=(spec.values - mean) / std, normalized=True)
-
-
-def denormalize(spec: MelSpectrogram, mean: float, std: float) -> MelSpectrogram:
-    return MelSpectrogram(values=spec.values * std + mean, normalized=False)
 
 
 def spectrogram_for_file(path, cfg: MelConfig) -> MelSpectrogram:

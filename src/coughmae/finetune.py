@@ -170,14 +170,14 @@ class FinetuneResult:
     train_loss: list[float] = field(default_factory=list)
 
 
-def score_samples(patches: np.ndarray, grid_shape, encoder: EncoderParams,
-                  head: ClassifierHead, pooling: str) -> np.ndarray:
+def score_samples(patches: np.ndarray, encoder: EncoderParams, head: ClassifierHead,
+                  pooling: str) -> np.ndarray:
     """Positive-class probability for each sample in a stacked patch array (no tape)."""
     out = []
     with T.no_grad():
         for lo in range(0, patches.shape[0], SCORE_BATCH):
             chunk = patches[lo:lo + SCORE_BATCH]
-            seq = embed(chunk, encoder, grid_shape=grid_shape)
+            seq = embed(chunk, encoder)
             feats = encode(seq, encoder)
             probs = classify(pool(feats, pooling), head)
             out.append(probs.data[:, 1])
@@ -185,7 +185,7 @@ def score_samples(patches: np.ndarray, grid_shape, encoder: EncoderParams,
 
 
 def finetune_arrays(encoder: EncoderParams, patches: np.ndarray, labels: np.ndarray,
-                    grid_shape, train_idx, val_idx, cfg: FinetuneConfig, seed: int,
+                    train_idx, val_idx, cfg: FinetuneConfig, seed: int,
                     log=None) -> FinetuneResult:
     """Fine-tune encoder+head on pre-extracted patches.
 
@@ -225,7 +225,7 @@ def finetune_arrays(encoder: EncoderParams, patches: np.ndarray, labels: np.ndar
         order = train_idx[shuffle_rng.permutation(len(train_idx))]
         for b in range(steps_per_epoch):
             chunk = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
-            seq = embed(patches[chunk], encoder, grid_shape=grid_shape)
+            seq = embed(patches[chunk], encoder)
             feats = encode(seq, encoder)
             z = logits(pool(feats, cfg.pooling), head)
             loss = T.cross_entropy_with_logits(z, labels[chunk])
@@ -244,7 +244,7 @@ def finetune_arrays(encoder: EncoderParams, patches: np.ndarray, labels: np.ndar
             step += 1
         if val_idx is None:
             continue
-        val_scores = score_samples(patches[val_idx], grid_shape, encoder, head, cfg.pooling)
+        val_scores = score_samples(patches[val_idx], encoder, head, cfg.pooling)
         epoch_auroc = auroc(val_scores, labels[val_idx])
         curve.append(epoch_auroc)
         if epoch_auroc > best_auroc:
@@ -332,8 +332,8 @@ def build_scorer(encoder: EncoderParams, head: ClassifierHead, mel_cfg: MelConfi
             values = np.stack([span[k:k + n_frames] for k in shifts // hop])
         else:
             values = np.stack([features(samples[o:o + win], rate) for o in offsets])
-        patches, grid_shape = patchify(values, encoder.cfg.patch_size, encoder.cfg.patch_stride)
-        return embed(patches, encoder, grid_shape=grid_shape)
+        patches, _ = patchify(values, encoder.cfg.patch_size, encoder.cfg.patch_stride)
+        return embed(patches, encoder)
 
     def scorer(wave: Waveform, offsets, win: int) -> np.ndarray:
         with T.no_grad():
@@ -352,7 +352,6 @@ class FinetuneData:
     command, and the model each run starts from (None: scratch)."""
 
     patches: np.ndarray
-    grid_shape: tuple[int, int]
     labels: np.ndarray
     model_cfg: ModelConfig
     init: Model | None
@@ -364,20 +363,21 @@ class FinetuneData:
         if self.init is not None:
             load_into({p.name: p.data for p in self.init.encoder.parameters()},
                       encoder.parameters())
-        return finetune_arrays(encoder, self.patches, self.labels, self.grid_shape,
-                               train_idx, val_idx, cfg, seed, log=log)
+        return finetune_arrays(encoder, self.patches, self.labels, train_idx, val_idx,
+                               cfg, seed, log=log)
 
 
 def prepare_finetune(init: Checkpoint | None, manifest: DatasetManifest,
                      mel_cfg: MelConfig, model_cfg: ModelConfig,
                      cfg: FinetuneConfig) -> FinetuneData:
-    """Load the init checkpoint (None: scratch) and featurize the corpus, normalized
-    with the checkpoint's statistics when it has them (left raw from scratch)."""
+    """Check every entry has a label, load the init checkpoint (None: scratch), then
+    featurize the corpus, normalized with the checkpoint's statistics when it
+    has them (left raw from scratch)."""
+    labels = manifest.labels()
     model = None if init is None else load_model(init, mel_cfg, model_cfg)
-    patches, grid_shape, _ = prepare_patches(manifest, mel_cfg, cfg.target_frames, model_cfg,
-                                             stats=None if model is None else model.stats)
-    return FinetuneData(patches=patches, grid_shape=grid_shape, labels=manifest.labels(),
-                        model_cfg=model_cfg, init=model)
+    patches, _, _ = prepare_patches(manifest, mel_cfg, cfg.target_frames, model_cfg,
+                                    stats=None if model is None else model.stats)
+    return FinetuneData(patches=patches, labels=labels, model_cfg=model_cfg, init=model)
 
 
 # - Cross-validation -

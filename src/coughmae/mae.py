@@ -64,7 +64,7 @@ def apply_mask(seq: TokenSequence, plan: MaskPlan) -> TokenSequence:
         raise ShapeError(f"mask plan for {plan.n_patches} patches applied to {seq.n_patches}")
     keep = [0] + [1 + i for i in plan.visible]
     tokens = T.gather(seq.tokens, np.array(keep, dtype=np.intp), axis=1)
-    return TokenSequence(tokens=tokens, n_patches=seq.n_patches, grid_shape=seq.grid_shape)
+    return TokenSequence(tokens=tokens)
 
 
 # - Decoder -
@@ -124,7 +124,7 @@ def restore_with_mask_tokens(feats: TokenSequence, plan: MaskPlan,
     restored = T.gather(stacked, source, axis=1)
     pe = sinusoidal_positions(plan.n_patches + 1, dec.cfg.dim)
     restored = restored + Tensor(pe[None, :, :])
-    return TokenSequence(tokens=restored, n_patches=plan.n_patches, grid_shape=feats.grid_shape)
+    return TokenSequence(tokens=restored)
 
 
 def window_map_for_grid(grid_shape: tuple[int, int], shifted: bool) -> np.ndarray:
@@ -144,23 +144,24 @@ def window_map_for_grid(grid_shape: tuple[int, int], shifted: bool) -> np.ndarra
 
 
 def decode(seq: TokenSequence, dec: DecoderParams, mode: str = "global",
-           weights_sink: list | None = None) -> Tensor:
+           grid_shape: tuple[int, int] | None = None) -> Tensor:
     """Decode a restored sequence to per-patch pixel vectors (batch, n, side^2).
 
     mode 'global' attends over everything; 'windowed' alternates unshifted
-    and shifted 4x4 patch windows across blocks. The CLS slot rides along but
-    is dropped from the output.
+    and shifted 4x4 patch windows across blocks of the (time, mel) patch
+    grid_shape, which only this mode needs. The CLS slot rides along but is
+    dropped from the output.
     """
     if mode not in ("global", "windowed"):
         raise ConfigError(f"unknown decoder attention mode {mode!r}")
-    if mode == "windowed" and seq.grid_shape is None:
+    if mode == "windowed" and grid_shape is None:
         raise ShapeError("windowed decoding needs the patch grid shape")
     x = T.linear(seq.tokens, dec.in_proj.w, dec.in_proj.b)
     for i, block in enumerate(dec.blocks):
         wm = None
         if mode == "windowed":
-            wm = window_map_for_grid(seq.grid_shape, shifted=(i % 2 == 1))
-        x = transformer_block(x, block, dec.cfg.decoder_heads, wm, weights_sink)
+            wm = window_map_for_grid(grid_shape, shifted=(i % 2 == 1))
+        x = transformer_block(x, block, dec.cfg.decoder_heads, wm)
     x = T.layer_norm(x, dec.ln_gain, dec.ln_bias)
     x = T.linear(x, dec.out_proj.w, dec.out_proj.b)
     return T.gather(x, np.arange(1, seq.n_patches + 1, dtype=np.intp), axis=1)
@@ -228,10 +229,6 @@ class PretrainResult:
     history: list[dict] = field(default_factory=list)  # step, epoch, lr, loss
 
 
-def build_pretrain_model(model_cfg: ModelConfig, seed: int) -> tuple[EncoderParams, DecoderParams]:
-    return EncoderParams(model_cfg, seed), DecoderParams(model_cfg, seed)
-
-
 def prepare_patches(manifest: DatasetManifest, mel_cfg: MelConfig, target_frames: int,
                     model_cfg: ModelConfig, stats=None) -> tuple[np.ndarray, tuple[int, int], dict]:
     """Feature-extract every manifest entry into one (n, patches, values) array.
@@ -253,15 +250,15 @@ def prepare_patches(manifest: DatasetManifest, mel_cfg: MelConfig, target_frames
     return patches, grid_shape, raw_values
 
 
-def pretrain_step_loss(batch_patches: np.ndarray, grid_shape: tuple[int, int],
-                       encoder: EncoderParams, decoder: DecoderParams,
-                       plan: MaskPlan, mode: str = "global") -> Tensor:
+def pretrain_step_loss(batch_patches: np.ndarray, encoder: EncoderParams,
+                       decoder: DecoderParams, plan: MaskPlan, mode: str = "global",
+                       grid_shape: tuple[int, int] | None = None) -> Tensor:
     """Forward pass of one pretraining step: embed, mask, encode, restore, decode."""
-    seq = embed(batch_patches, encoder, grid_shape=grid_shape)
+    seq = embed(batch_patches, encoder)
     visible = apply_mask(seq, plan)
     feats = encode(visible, encoder)
     restored = restore_with_mask_tokens(feats, plan, decoder)
-    pred = decode(restored, decoder, mode=mode)
+    pred = decode(restored, decoder, mode=mode, grid_shape=grid_shape)
     targets = patch_norm_targets(batch_patches)
     return masked_mse(pred, targets, plan)
 
@@ -280,7 +277,7 @@ def pretrain(manifest: DatasetManifest, mel_cfg: MelConfig, model_cfg: ModelConf
     patches, grid_shape, raw_values = prepare_patches(manifest, mel_cfg,
                                                       cfg.target_frames, model_cfg)
     stats = stats_from_values(raw_values)
-    encoder, decoder = build_pretrain_model(model_cfg, seed)
+    encoder, decoder = EncoderParams(model_cfg, seed), DecoderParams(model_cfg, seed)
     n_patches = patches.shape[1]
     if int(np.floor(cfg.mask_ratio * n_patches + 0.5)) == 0:
         raise ConfigError(f"mask_ratio {cfg.mask_ratio} masks nothing at {n_patches} patches")
@@ -307,8 +304,8 @@ def pretrain(manifest: DatasetManifest, mel_cfg: MelConfig, model_cfg: ModelConf
             batch = patches[batch_idx]
             plan = sample_mask(n_patches, cfg.mask_ratio, mask_rng)
             lr = warmup_cosine_lr(step, total_steps, cfg.lr, cfg.warmup_frac)
-            loss = pretrain_step_loss(batch, grid_shape, encoder, decoder, plan,
-                                      mode=cfg.decoder_attention)
+            loss = pretrain_step_loss(batch, encoder, decoder, plan,
+                                      mode=cfg.decoder_attention, grid_shape=grid_shape)
             value = loss.item()
             if not np.isfinite(value):
                 raise NumericsError(f"non-finite pretraining loss at step {step}")

@@ -560,13 +560,7 @@ def grad_check(fn: Callable[[Tensor], Tensor], point, step: float = 1e-5,
     else:
         coords = np.arange(n)
 
-    probe = Tensor.__new__(Tensor)
-    probe.data = x.data
-    probe.requires_grad = False
-    probe.grad = None
-    probe._parents = ()
-    probe._vjps = ()
-    probe._op = "leaf"
+    probe = Tensor(x.data)   # shares x's buffer, so the nudges below reach it; no grad
 
     worst = 0.0
     for i in coords:

@@ -188,13 +188,17 @@ class TokenSequence:
     """Batched tokens (batch, tokens, dim): embedded patches or encoder output.
 
     CLS occupies slot 0 and carries positional encoding 0; patch p carries
-    encoding p + 1. n_patches counts the patches of the full grid, also
-    after masking has dropped some of their tokens.
+    encoding p + 1. The type stays a wrapper, not a bare Tensor, because
+    the benchmark tracer reads `tokens` going into encode and `features`
+    coming out.
     """
 
     tokens: Tensor
-    n_patches: int
-    grid_shape: tuple[int, int] | None = None
+
+    @property
+    def n_patches(self) -> int:
+        """Patch tokens in the sequence: the full grid, unless masking dropped some."""
+        return self.tokens.shape[1] - 1
 
     @property
     def features(self) -> Tensor:
@@ -202,8 +206,7 @@ class TokenSequence:
         return self.tokens
 
 
-def embed(patches: np.ndarray, params: EncoderParams,
-          grid_shape: tuple[int, int] | None = None) -> TokenSequence:
+def embed(patches: np.ndarray, params: EncoderParams) -> TokenSequence:
     """Project stacked (batch, n, side*side) patches, prepend CLS and add
     positional encodings."""
     arr = np.asarray(patches, dtype=np.float64)
@@ -218,17 +221,16 @@ def embed(patches: np.ndarray, params: EncoderParams,
                          (batch, 1, params.cfg.dim))
     x = T.concat([cls, x], axis=1)
     x = x + Tensor(pe[None, :, :])
-    return TokenSequence(tokens=x, n_patches=n, grid_shape=grid_shape)
+    return TokenSequence(tokens=x)
 
 
 def multi_head_attention(x: Tensor, params: AttentionParams, n_heads: int,
-                         window_map: np.ndarray | None = None,
-                         weights_sink: list | None = None) -> Tensor:
+                         window_map: np.ndarray | None = None) -> Tensor:
     """Standard scaled dot-product MHA over (batch, tokens, dim).
 
     window_map assigns a window id to every token; attention between tokens
-    with different ids gets exactly zero weight. weights_sink, if given,
-    receives the (batch, heads, tokens, tokens) weight array for inspection.
+    with different ids gets exactly zero weight. A wrapper around
+    tensor.softmax observes the (batch, heads, tokens, tokens) weights.
     """
     b, t, d = x.shape
     if d % n_heads != 0:
@@ -249,18 +251,15 @@ def multi_head_attention(x: Tensor, params: AttentionParams, n_heads: int,
             raise ShapeError(f"window_map length {ids.shape} does not match {t} tokens")
         allowed = (ids[:, None] == ids[None, :])
     weights = T.softmax(scores, allowed=allowed)
-    if weights_sink is not None:
-        weights_sink.append(weights.data)
     out = T.matmul(weights, v)
     out = T.reshape(T.transpose(out, (0, 2, 1, 3)), (b, t, d))
     return T.linear(out, params.wo.w, params.wo.b)
 
 
 def transformer_block(x: Tensor, block: BlockParams, n_heads: int,
-                      window_map: np.ndarray | None = None,
-                      weights_sink: list | None = None) -> Tensor:
+                      window_map: np.ndarray | None = None) -> Tensor:
     h = T.layer_norm(x, block.ln1_gain, block.ln1_bias)
-    x = x + multi_head_attention(h, block.attn, n_heads, window_map, weights_sink)
+    x = x + multi_head_attention(h, block.attn, n_heads, window_map)
     h = T.layer_norm(x, block.ln2_gain, block.ln2_bias)
     h = T.linear(h, block.mlp_in.w, block.mlp_in.b)
     h = T.gelu(h)
@@ -274,4 +273,4 @@ def encode(seq: TokenSequence, params: EncoderParams) -> TokenSequence:
     for block in params.blocks:
         x = transformer_block(x, block, params.cfg.n_heads)
     x = T.layer_norm(x, params.ln_gain, params.ln_bias)
-    return TokenSequence(tokens=x, n_patches=seq.n_patches, grid_shape=seq.grid_shape)
+    return TokenSequence(tokens=x)

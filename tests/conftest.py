@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+import coughmae.tensor as T
+
 settings.register_profile(
     "suite",
     deadline=None,
@@ -24,3 +26,24 @@ def cpus(request, monkeypatch):
     """Usable CPU count the worker pools see; they run min(cpus, 2) threads."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)))
     return request.param
+
+
+@pytest.fixture
+def record_softmax(monkeypatch):
+    """Call it to start recording; it returns the list that then receives the
+    value of every coughmae.tensor.softmax call, in call order. Model code
+    calls T.softmax through the module, so each attention call's
+    (batch, heads, tokens, tokens) weights land there."""
+    def start() -> list:
+        outputs = []
+        original = T.softmax
+
+        def recording(*args, **kwargs):
+            out = original(*args, **kwargs)
+            outputs.append(out.data)
+            return out
+
+        monkeypatch.setattr(T, "softmax", recording)
+        return outputs
+
+    return start

@@ -20,10 +20,9 @@ from coughmae.diagnostics import TOLERANCE, full_battery, pretrain_loss_check
 from coughmae.dsp import (DatasetManifest, ManifestEntry, MelConfig, Waveform,
                           save_manifest, save_wav, synth_dataset)
 from coughmae.finetune import FinetuneConfig, auroc, finetune_arrays, prepare_finetune
-from coughmae.mae import (PretrainConfig, build_pretrain_model,
-                          decode, masked_mse, patch_norm_targets, prepare_patches,
-                          pretrain, restore_with_mask_tokens, sample_mask,
-                          window_map_for_grid)
+from coughmae.mae import (DecoderParams, PretrainConfig, decode, masked_mse,
+                          patch_norm_targets, prepare_patches, pretrain,
+                          restore_with_mask_tokens, sample_mask, window_map_for_grid)
 from coughmae.rng import seeded_rng
 from coughmae.segment import (Event, F1Scores, SegmentationConfig, event_f1,
                               per_window, sample_f1, slide)
@@ -233,7 +232,7 @@ def ablation_matrix(manifest: DatasetManifest, out_root: Path) -> dict:
     return curves
 
 
-def test_criterion_6_ablation_matrix(tmp_path):
+def test_criterion_6_ablation_matrix(tmp_path, record_softmax):
     manifest = synth_dataset(tmp_path / "data", 8, seed=9)
     first = ablation_matrix(manifest, tmp_path / "runA")
     second = ablation_matrix(manifest, tmp_path / "runB")
@@ -243,13 +242,13 @@ def test_criterion_6_ablation_matrix(tmp_path):
     reproducible = first == second
 
     cfg = ModelConfig()
-    _, dec = build_pretrain_model(cfg, seed=0)
+    dec = DecoderParams(cfg, seed=0)
     feats = np.random.default_rng(1).normal(size=(1, 49, cfg.dim))
     plan = sample_mask(48, 0.75, seeded_rng(1, "acceptance.windows"))
-    fs = TokenSequence(Tensor(feats[:, :1 + len(plan.visible)]), 48, (6, 8))
+    fs = TokenSequence(Tensor(feats[:, :1 + len(plan.visible)]))
     restored = restore_with_mask_tokens(fs, plan, dec)
-    sink: list = []
-    decode(restored, dec, mode="windowed", weights_sink=sink)
+    sink = record_softmax()
+    decode(restored, dec, mode="windowed", grid_shape=(6, 8))
     zero_cross = True
     for i, weights in enumerate(sink):
         wm = window_map_for_grid((6, 8), shifted=(i % 2 == 1))
@@ -347,17 +346,17 @@ def test_criterion_9_variable_length(tmp_path):
     finite = True
     patch_counts = []
     for frames in (98, 160):
-        patches, grid, _ = prepare_patches(corpus, MelConfig(), frames, cfg)
+        patches, _, _ = prepare_patches(corpus, MelConfig(), frames, cfg)
         patch_counts.append(patches.shape[1])
         enc = EncoderParams(cfg, seed=0)       # identical parameter set each time
-        feats = encode(embed(patches[:2], enc, grid_shape=grid), enc)
+        feats = encode(embed(patches[:2], enc), enc)
         finite = finite and bool(np.isfinite(feats.features.data).all())
-        r = finetune_arrays(enc, patches, labels, grid, np.arange(8), np.arange(8),
+        r = finetune_arrays(enc, patches, labels, np.arange(8), np.arange(8),
                             ft_cfg, seed=0)
         finite = finite and len(r.train_loss) > 0 and bool(np.all(np.isfinite(r.train_loss)))
 
-    err48 = pretrain_loss_check(seed=0, n_patches=48, grid_shape=(6, 8))
-    err80 = pretrain_loss_check(seed=0, n_patches=80, grid_shape=(10, 8))
+    err48 = pretrain_loss_check(seed=0, n_patches=48)
+    err80 = pretrain_loss_check(seed=0, n_patches=80)
     dt = time.monotonic() - t0
     ok = (patch_counts == [48, 80] and finite
           and err48 < TOLERANCE and err80 < TOLERANCE)

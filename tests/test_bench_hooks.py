@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from coughmae import finetune, optim, tensor
+from coughmae.mae import MaskPlan, apply_mask
 from coughmae.vit import EncoderParams, ModelConfig, embed, encode
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -40,8 +41,19 @@ def test_counter_hooks_exist():
 
 
 def test_encode_output_carries_traced_attributes():
+    """The tracer reads `tokens` of encode's input and `features` of its
+    output, for the full sequence (fine-tuning, segmentation) and for the
+    masked one pretraining encodes."""
     cfg = ModelConfig(dim=16, n_heads=2, patch_size=4, patch_stride=4)
     enc = EncoderParams(cfg, seed=0)
-    out = encode(embed(np.zeros((2, 6, 16)), enc, grid_shape=(2, 3)), enc)
-    assert out.tokens.shape == (2, 7, 16)
+    seq = embed(np.zeros((2, 6, 16)), enc)
+    out = encode(seq, enc)
+    assert seq.tokens.shape == out.tokens.shape == (2, 7, 16)
     assert out.features.shape == (2, 7, 16)
+    assert seq.n_patches == out.n_patches == 6
+
+    plan = MaskPlan(n_patches=6, masked=(0, 2, 5), visible=(1, 3, 4), ratio=0.5)
+    visible = apply_mask(seq, plan)
+    out = encode(visible, enc)
+    assert visible.tokens.shape == (2, 4, 16)
+    assert out.features.shape == (2, 4, 16)

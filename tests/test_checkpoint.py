@@ -1,16 +1,17 @@
 """Binary checkpoint roundtrips, corruption detection and atomic writes."""
 import builtins
+import hashlib
+import json
 import struct
 
 import numpy as np
 import pytest
 
 from coughmae import checkpoint
-from coughmae.checkpoint import (DIGEST_BYTES, MAGIC, Checkpoint, load_checkpoint,
-                                 load_into, save_checkpoint)
+from coughmae.checkpoint import (DIGEST_BYTES, FORMAT_VERSION, MAGIC, Checkpoint,
+                                 load_checkpoint, load_into, save_checkpoint)
 from coughmae.errors import CheckpointError
-from coughmae.mae import build_pretrain_model
-from coughmae.vit import ModelConfig, embed, encode
+from coughmae.vit import EncoderParams, ModelConfig, embed, encode
 
 
 def small_params():
@@ -77,6 +78,43 @@ def test_old_format_version_rejected(tmp_path):
         load_checkpoint(p)
 
 
+def write_with_digest(path, header, blob: bytes) -> None:
+    """A checkpoint file around any JSON header, with a correct digest."""
+    raw = json.dumps(header).encode("utf-8")
+    body = MAGIC + struct.pack("<I", FORMAT_VERSION) + struct.pack("<Q", len(raw)) + raw + blob
+    path.write_bytes(body + hashlib.sha256(body).digest())
+
+
+def _param(**entry) -> dict:
+    return {"version": FORMAT_VERSION, "config": {}, "stats": None,
+            "params": [{"name": "w", **entry}]}
+
+
+# header, blob: each passes magic, version and digest checks
+MALFORMED = {
+    "no_params": ({"version": FORMAT_VERSION, "config": {}, "stats": None}, b""),
+    "list_header": ([], b""),
+    "size_not_shape": (_param(shape=[3], offset=0, nbytes=8), bytes(24)),
+    "negative_offset": (_param(shape=[1], offset=-8, nbytes=8), bytes(16)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_header_with_valid_digest_rejected(tmp_path, case):
+    p = tmp_path / "c.bin"
+    write_with_digest(p, *MALFORMED[case])
+    with pytest.raises(CheckpointError) as info:
+        load_checkpoint(p)
+    assert str(p) in str(info.value)
+
+
+def test_valid_digest_wrapper_loads(tmp_path):
+    # the malformed cases above differ from a loadable file only in their header
+    p = tmp_path / "c.bin"
+    write_with_digest(p, _param(shape=[1, 2], offset=8, nbytes=16), struct.pack("<3d", 0, 1, 2))
+    assert np.array_equal(load_checkpoint(p).arrays["w"], [[1.0, 2.0]])
+
+
 class _FailingWriter:
     """A file whose write stores half of its data, then fails."""
 
@@ -139,15 +177,15 @@ def test_model_roundtrip_same_forward(tmp_path):
     # saving and reloading an encoder must not change its outputs at all
     cfg = ModelConfig(dim=16, n_heads=2, decoder_dim=16, decoder_heads=2,
                       patch_size=4, patch_stride=4)
-    enc, dec = build_pretrain_model(cfg, seed=9)
+    enc = EncoderParams(cfg, seed=9)
     arrays = {p.name: p.data for p in enc.parameters()}
     p = tmp_path / "m.bin"
     save_checkpoint(p, arrays, {"kind": "pretrain"}, {"mean": 0.0, "std": 1.0})
 
     x = np.random.default_rng(1).normal(size=(2, 24, 16))
-    before = encode(embed(x, enc, grid_shape=(4, 6)), enc).features.data.copy()
+    before = encode(embed(x, enc), enc).features.data.copy()
 
-    enc2, _ = build_pretrain_model(cfg, seed=4)  # different init
+    enc2 = EncoderParams(cfg, seed=4)  # different init
     load_into(load_checkpoint(p).arrays, enc2.parameters())
-    after = encode(embed(x, enc2, grid_shape=(4, 6)), enc2).features.data
+    after = encode(embed(x, enc2), enc2).features.data
     assert np.array_equal(before, after)

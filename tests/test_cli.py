@@ -18,6 +18,7 @@ from coughmae.config import RunConfig, serialize_config
 from coughmae.errors import DataError
 from coughmae.finetune import load_model
 from coughmae.mae import prepare_patches
+from test_checkpoint import MALFORMED, write_with_digest
 
 
 def run_cli(capsys, *argv):
@@ -451,6 +452,17 @@ def test_corrupt_checkpoint_exit_1(capsys, tmp_path, corpus):
                            "--checkpoint", str(bad))
     assert code == 1
     assert "error:" in err
+
+
+def test_malformed_checkpoint_header_exit_1(capsys, tmp_path, corpus):
+    # the digest matches, so only the header check stands between it and a traceback
+    bad = tmp_path / "bad.bin"
+    write_with_digest(bad, *MALFORMED["no_params"])
+    wav = sorted(corpus.parent.glob("*.wav"))[0]
+    code, _, err = run_cli(capsys, "segment", "--audio", str(wav),
+                           "--checkpoint", str(bad))
+    assert code == 1
+    assert f"error: {bad}" in err and "Traceback" not in err
 
 
 # - grad-check -

@@ -12,7 +12,7 @@ import coughmae.tensor as T
 from coughmae import finetune as finetune_module
 from coughmae import vit, workers
 from coughmae.checkpoint import Checkpoint, load_into
-from coughmae.dsp import DatasetManifest, MelConfig, synth_dataset
+from coughmae.dsp import DatasetManifest, ManifestEntry, MelConfig, synth_dataset
 from coughmae.errors import CheckpointError, ConfigError, DataError, NumericsError, ShapeError
 from coughmae.finetune import (ClassifierHead, EvalReport, FinetuneConfig,
                                FinetuneResult, auroc, classify, cross_validate,
@@ -26,8 +26,7 @@ from coughmae.vit import EncoderParams, ModelConfig, TokenSequence
 
 def feats(values: np.ndarray) -> TokenSequence:
     """Encoder output with CLS at slot 0 and patches after it."""
-    return TokenSequence(tokens=T.Tensor(np.asarray(values, dtype=np.float64)),
-                         n_patches=values.shape[1] - 1)
+    return TokenSequence(tokens=T.Tensor(np.asarray(values, dtype=np.float64)))
 
 
 # - Pooling -
@@ -75,7 +74,7 @@ def test_pool_unknown_mode_rejected():
 
 def test_pool_gradient_flows():
     x = T.Tensor(np.ones((1, 3, 2)), requires_grad=True)
-    fs = TokenSequence(tokens=x, n_patches=2)
+    fs = TokenSequence(tokens=x)
     loss = T.reduce_mean(pool(fs, "mean"))
     T.backward(loss)
     # loss = mean over 2 dims of (mean over 2 patches): 1/4 per patch cell
@@ -322,19 +321,19 @@ def small_task(tmp_path_factory):
     mel_cfg = MelConfig()
     model_cfg = ModelConfig(dim=32, n_heads=2, n_blocks=1, decoder_dim=16,
                             decoder_heads=2, decoder_blocks=1)
-    patches, grid_shape, _ = prepare_patches(manifest, mel_cfg, 98, model_cfg)
-    return manifest, mel_cfg, model_cfg, patches, grid_shape
+    patches, _, _ = prepare_patches(manifest, mel_cfg, 98, model_cfg)
+    return manifest, mel_cfg, model_cfg, patches
 
 
 def test_finetune_learns_separable_task(small_task):
-    manifest, mel_cfg, model_cfg, patches, grid = small_task
+    manifest, mel_cfg, model_cfg, patches = small_task
     labels = manifest.labels()
     train_idx = np.arange(0, 12)
     val_idx = np.arange(12, 16)
     cfg = FinetuneConfig(epochs=12, batch_size=2, encoder_lr=3e-3, head_lr=3e-2,
                          pooling="mean", warmup_frac=0.2)
     enc = EncoderParams(model_cfg, seed=0)
-    result = finetune_arrays(enc, patches, labels, grid, train_idx, val_idx,
+    result = finetune_arrays(enc, patches, labels, train_idx, val_idx,
                              cfg, seed=0)
     assert len(result.curve) == 12
     assert result.best_auroc == max(result.curve)
@@ -344,13 +343,13 @@ def test_finetune_learns_separable_task(small_task):
 
 
 def test_finetune_deterministic(small_task):
-    manifest, mel_cfg, model_cfg, patches, grid = small_task
+    manifest, mel_cfg, model_cfg, patches = small_task
     labels = manifest.labels()
     cfg = FinetuneConfig(epochs=2, batch_size=4)
     runs = []
     for _ in range(2):
         enc = EncoderParams(model_cfg, seed=3)
-        r = finetune_arrays(enc, patches, labels, grid, np.arange(12),
+        r = finetune_arrays(enc, patches, labels, np.arange(12),
                             np.arange(12, 16), cfg, seed=3)
         runs.append(r)
     assert runs[0].curve == runs[1].curve
@@ -359,12 +358,12 @@ def test_finetune_deterministic(small_task):
 
 
 def test_finetune_without_validation_scores_nothing_and_keeps_bits(small_task, monkeypatch):
-    manifest, _, model_cfg, patches, grid = small_task
+    manifest, _, model_cfg, patches = small_task
     labels = manifest.labels()
     cfg = FinetuneConfig(epochs=2, batch_size=4)
 
     def run(val_idx):
-        return finetune_arrays(EncoderParams(model_cfg, seed=3), patches, labels, grid,
+        return finetune_arrays(EncoderParams(model_cfg, seed=3), patches, labels,
                                np.arange(12), val_idx, cfg, seed=3)
 
     validated = run(np.arange(12, 16))
@@ -376,8 +375,17 @@ def test_finetune_without_validation_scores_nothing_and_keeps_bits(small_task, m
     assert all(a.data.tobytes() == b.data.tobytes() for a, b in params)
 
 
+def test_prepare_finetune_checks_labels_before_reading_audio(tmp_path):
+    # the labelled files do not exist: reading any of them would fail on the audio
+    entries = [ManifestEntry(path=f"missing{i}.wav", label=i % 2) for i in range(3)]
+    manifest = DatasetManifest(entries=entries + [ManifestEntry(path="unlabelled.wav")],
+                               root=tmp_path)
+    with pytest.raises(DataError, match="without labels"):
+        prepare_finetune(None, manifest, MelConfig(), ModelConfig(), FinetuneConfig())
+
+
 def test_cross_validate_report(small_task):
-    manifest, mel_cfg, model_cfg, _, _ = small_task
+    manifest, mel_cfg, model_cfg, _ = small_task
     cfg = FinetuneConfig(epochs=1, batch_size=4, k_folds=4)
     report = cross_validate(prepare_finetune(None, manifest, mel_cfg, model_cfg, cfg), cfg, seed=0)
     assert report.init_kind == "scratch"
@@ -395,7 +403,7 @@ def test_cross_validate_report(small_task):
 def test_finetune_step_frees_its_tape(small_task):
     """A step's graph is released before the next step's forward, so four
     steps peak no higher than one (a retained tape read 1.70x here)."""
-    manifest, _, model_cfg, patches, grid = small_task
+    manifest, _, model_cfg, patches = small_task
     model_cfg = dataclasses.replace(model_cfg, n_blocks=4)   # tape outweighs state
     cfg = FinetuneConfig(epochs=1, batch_size=6)
 
@@ -404,7 +412,7 @@ def test_finetune_step_frees_its_tape(small_task):
         train_idx = np.tile(np.arange(12), 2)[:steps * cfg.batch_size]
         tracemalloc.start()
         try:
-            finetune_arrays(encoder, patches, manifest.labels(), grid, train_idx,
+            finetune_arrays(encoder, patches, manifest.labels(), train_idx,
                             np.arange(12, 16), cfg, seed=0)
             return tracemalloc.get_traced_memory()[1]
         finally:
@@ -420,7 +428,7 @@ def test_cross_validate_bit_identical_across_cpus(small_task, cpus, monkeypatch)
     """The report and every fold's trained head equal a sequential pass over
     the folds in this thread byte for byte; progress lines come in fold
     order, all from this thread."""
-    manifest, mel_cfg, model_cfg, _, _ = small_task
+    manifest, mel_cfg, model_cfg, _ = small_task
     cfg = FinetuneConfig(epochs=2, batch_size=4, k_folds=4)
     data = prepare_finetune(None, manifest, mel_cfg, model_cfg, cfg)
     want = []
@@ -438,7 +446,7 @@ def test_cross_validate_bit_identical_across_cpus(small_task, cpus, monkeypatch)
 
     def recording(*args, **kwargs):
         result = run_fold(*args, **kwargs)
-        heads[args[7]] = result.head.w.data.tobytes() + result.head.b.data.tobytes()
+        heads[args[6]] = result.head.w.data.tobytes() + result.head.b.data.tobytes()
         fold_threads.add(threading.current_thread())
         return result
 

@@ -6,7 +6,7 @@ import coughmae.tensor as T
 from coughmae.dsp import MelConfig
 from coughmae.errors import ConfigError, NumericsError, ShapeError
 from coughmae.mae import (DecoderParams, MaskPlan, PretrainConfig,
-                          apply_mask, build_pretrain_model, decode, masked_mse,
+                          apply_mask, decode, masked_mse,
                           patch_norm_targets, pretrain, pretrain_step_loss,
                           restore_with_mask_tokens, sample_mask,
                           window_map_for_grid)
@@ -59,7 +59,7 @@ def test_mask_deterministic_for_same_stream():
 def token_seq(n, dim=6, batch=1):
     # token (b, i, :) filled with value i so gather results are recognizable
     data = np.tile(np.arange(n + 1, dtype=np.float64)[None, :, None], (batch, 1, dim))
-    return TokenSequence(Tensor(data), n, (1, n))
+    return TokenSequence(Tensor(data))
 
 
 def test_apply_mask_keeps_cls_and_visible_order():
@@ -68,7 +68,7 @@ def test_apply_mask_keeps_cls_and_visible_order():
     out = apply_mask(seq, plan)
     # rows: CLS (=0), p0 (=1), p2 (=3)
     assert np.array_equal(out.tokens.data[0, :, 0], [0.0, 1.0, 3.0])
-    assert out.n_patches == 4
+    assert out.n_patches == len(plan.visible)
 
 
 def test_apply_mask_identity_when_nothing_masked():
@@ -97,7 +97,7 @@ def test_restore_places_features_and_mask_tokens():
     feats[0, 1] = 10.0    # patch 0
     feats[0, 2] = 30.0    # patch 2
     restored = restore_with_mask_tokens(
-        TokenSequence(Tensor(feats), 4, (1, 4)), plan, dec)
+        TokenSequence(Tensor(feats)), plan, dec)
     pe = sinusoidal_positions(5, 8)
     got = restored.tokens.data[0]
     assert restored.n_patches == 4 and got.shape == (5, 8)
@@ -115,7 +115,7 @@ def test_restore_identity_when_nothing_masked():
     plan = MaskPlan(n_patches=3, masked=(), visible=(0, 1, 2), ratio=0.0)
     feats = np.random.default_rng(0).normal(size=(1, 4, 8))
     restored = restore_with_mask_tokens(
-        TokenSequence(Tensor(feats), 3, (1, 3)), plan, dec)
+        TokenSequence(Tensor(feats)), plan, dec)
     pe = sinusoidal_positions(4, 8)
     assert np.allclose(restored.tokens.data[0], feats[0] + pe, atol=1e-15)
 
@@ -127,8 +127,7 @@ def test_restore_roundtrips_apply_mask():
     seq = token_seq(6, dim=8)
     plan = sample_mask(6, 0.5, seeded_rng(4, "m"))
     visible = apply_mask(seq, plan)
-    restored = restore_with_mask_tokens(
-        TokenSequence(visible.tokens, 6, (1, 6)), plan, dec)
+    restored = restore_with_mask_tokens(visible, plan, dec)
     pe = sinusoidal_positions(7, 8)
     body = restored.tokens.data[0] - pe
     for patch in plan.visible:
@@ -141,7 +140,7 @@ def test_restore_length_mismatch():
     cfg = ModelConfig(dim=8, n_heads=2, decoder_dim=8, decoder_heads=2)
     dec = DecoderParams(cfg, seed=1)
     plan = MaskPlan(n_patches=4, masked=(1, 3), visible=(0, 2), ratio=0.5)
-    feats = TokenSequence(Tensor(np.zeros((1, 4, 8))), 4, (1, 4))
+    feats = TokenSequence(Tensor(np.zeros((1, 4, 8))))
     with pytest.raises(ShapeError):
         restore_with_mask_tokens(feats, plan, dec)
 
@@ -183,14 +182,14 @@ def test_window_map_cls_private_id():
 def small_model(seed=0):
     cfg = ModelConfig(dim=16, n_heads=2, decoder_dim=16, decoder_heads=2,
                       patch_size=4, patch_stride=4)
-    return cfg, *build_pretrain_model(cfg, seed)
+    return cfg, EncoderParams(cfg, seed), DecoderParams(cfg, seed)
 
 
-def restored_seq(cfg, dec, n=24, grid=(4, 6), batch=1, seed=1):
+def restored_seq(cfg, dec, n=24, batch=1, seed=1):
     feats = np.random.default_rng(seed).normal(size=(batch, n + 1, cfg.dim))
     plan = sample_mask(n, 0.5, seeded_rng(seed, "m"))
     visible_count = 1 + len(plan.visible)
-    fs = TokenSequence(Tensor(feats[:, :visible_count]), n, grid)
+    fs = TokenSequence(Tensor(feats[:, :visible_count]))
     return restore_with_mask_tokens(fs, plan, dec)
 
 
@@ -201,11 +200,11 @@ def test_decode_shape_excludes_cls():
     assert out.shape == (1, 24, 16)
 
 
-def test_decode_windowed_blocks_cross_window_attention():
+def test_decode_windowed_blocks_cross_window_attention(record_softmax):
     cfg, enc, dec = small_model()
-    seq = restored_seq(cfg, dec, n=24, grid=(4, 6))
-    sink = []
-    decode(seq, dec, mode="windowed", weights_sink=sink)
+    seq = restored_seq(cfg, dec, n=24)
+    sink = record_softmax()
+    decode(seq, dec, mode="windowed", grid_shape=(4, 6))
     assert len(sink) == cfg.decoder_blocks
     wm0 = window_map_for_grid((4, 6), shifted=False)
     blocked = wm0[:, None] != wm0[None, :]
@@ -219,14 +218,13 @@ def test_decode_windowed_differs_from_global():
     cfg, enc, dec = small_model()
     seq = restored_seq(cfg, dec)
     a = decode(seq, dec, mode="global").data
-    b = decode(seq, dec, mode="windowed").data
+    b = decode(seq, dec, mode="windowed", grid_shape=(4, 6)).data
     assert not np.allclose(a, b)
 
 
 def test_decode_windowed_needs_grid():
     cfg, enc, dec = small_model()
     seq = restored_seq(cfg, dec)
-    seq = TokenSequence(seq.tokens, seq.n_patches, None)
     with pytest.raises(ShapeError):
         decode(seq, dec, mode="windowed")
 
@@ -324,13 +322,13 @@ def test_training_step_reduces_loss_small_model():
         opt = AdamW(params, lr=1e-3, weight_decay=0.0)
         first = None
         for _ in range(40):
-            loss = pretrain_step_loss(batch, (4, 6), enc, dec, plan)
+            loss = pretrain_step_loss(batch, enc, dec, plan)
             if first is None:
                 first = loss.item()
             opt.zero_grad()
             T.backward(loss)
             opt.step()
-        final = pretrain_step_loss(batch, (4, 6), enc, dec, plan).item()
+        final = pretrain_step_loss(batch, enc, dec, plan).item()
         assert final < first
 
 

@@ -83,14 +83,15 @@ def init_draws(cfg: ModelConfig, monkeypatch) -> list[tuple[str, tuple]]:
 
     for module in (vit, mae):
         monkeypatch.setattr(module, "init_param", record)
-    mae.build_pretrain_model(cfg, seed=0)
+    vit.EncoderParams(cfg, seed=0)
+    mae.DecoderParams(cfg, seed=0)
     finetune.ClassifierHead(cfg.dim, seed=0)
     return drawn
 
 
 def test_init_draws_cover_every_random_parameter(monkeypatch):
     cfg = ModelConfig()
-    encoder, decoder = mae.build_pretrain_model(cfg, seed=0)
+    encoder, decoder = vit.EncoderParams(cfg, seed=0), mae.DecoderParams(cfg, seed=0)
     head = finetune.ClassifierHead(cfg.dim, seed=0)
     names = [p.name for p in encoder.parameters() + decoder.parameters() + head.parameters()
              if p.name.endswith((".w", ".cls", ".mask_token"))]

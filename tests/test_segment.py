@@ -228,19 +228,19 @@ def trained_scorer(tmp_path_factory):
                             decoder_heads=2, decoder_blocks=1)
     _, _, raw = prepare_patches(manifest, mel_cfg, 38, model_cfg)
     stats = stats_from_values(raw)
-    patches, grid, _ = prepare_patches(manifest, mel_cfg, 38, model_cfg, stats=stats)
+    patches, _, _ = prepare_patches(manifest, mel_cfg, 38, model_cfg, stats=stats)
     cfg = FinetuneConfig(epochs=20, batch_size=4, encoder_lr=1e-3, head_lr=1e-2,
                          pooling="mean", warmup_frac=0.1)
     result = finetune_arrays(EncoderParams(model_cfg, seed=0), patches,
-                             manifest.labels(), grid, np.arange(18),
+                             manifest.labels(), np.arange(18),
                              np.arange(18, 24), cfg, seed=0)
     enc, head = result.encoder, result.head
 
     def window_prob(window: Waveform) -> float:
         """The per-window path: one log-mel and one batch-1 forward per window."""
         spec = normalize(log_mel_spectrogram(window, mel_cfg), stats.mean, stats.std)
-        patches, grid = patchify(spec.values[None], 16, 16)
-        feats = encode(embed(patches, enc, grid_shape=grid), enc)
+        patches, _ = patchify(spec.values[None], 16, 16)
+        feats = encode(embed(patches, enc), enc)
         return float(classify(pool(feats, "mean"), head).data[0, 1])
 
     clips = [load_wav(manifest.resolve(e)).samples for e in manifest.entries[:6]]

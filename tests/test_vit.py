@@ -101,7 +101,7 @@ def test_embed_zero_patches_reduce_to_positions():
     # zero input and zero bias leave exactly the positional table
     params = EncoderParams(DESK, seed=0)
     zeros = np.zeros((1, 48, 256))
-    seq = embed(zeros, params, grid_shape=(6, 8))
+    seq = embed(zeros, params)
     pe = sinusoidal_positions(49, DESK.dim)
     assert np.array_equal(seq.tokens.data[0, 1:], pe[1:])
 
@@ -109,7 +109,7 @@ def test_embed_zero_patches_reduce_to_positions():
 def test_embed_with_cls_prepends_token():
     params = EncoderParams(DESK, seed=0)
     zeros = np.zeros((2, 48, 256))
-    seq = embed(zeros, params, grid_shape=(6, 8))
+    seq = embed(zeros, params)
     pe = sinusoidal_positions(49, DESK.dim)
     assert seq.tokens.shape == (2, 49, DESK.dim)
     assert seq.n_patches == 48
@@ -134,30 +134,30 @@ def test_attention_single_token_is_value_path():
     assert np.allclose(out.data, manual, atol=1e-14)
 
 
-def test_attention_uniform_when_queries_vanish():
+def test_attention_uniform_when_queries_vanish(record_softmax):
     params = AttentionParams("a", 8, seed=5)
     params.wq.w.data[...] = 0.0
     params.wq.b.data[...] = 0.0
-    sink = []
+    sink = record_softmax()
     x = Tensor(np.random.default_rng(6).normal(size=(1, 5, 8)))
-    multi_head_attention(x, params, n_heads=2, weights_sink=sink)
+    multi_head_attention(x, params, n_heads=2)
     assert np.allclose(sink[0], 1.0 / 5.0, atol=1e-15)
 
 
-def test_attention_rows_sum_to_one():
+def test_attention_rows_sum_to_one(record_softmax):
     params = AttentionParams("a", 8, seed=7)
-    sink = []
+    sink = record_softmax()
     x = Tensor(np.random.default_rng(8).normal(size=(2, 6, 8)))
-    multi_head_attention(x, params, n_heads=4, weights_sink=sink)
+    multi_head_attention(x, params, n_heads=4)
     assert np.all(np.abs(sink[0].sum(axis=-1) - 1.0) < 1e-12)
 
 
-def test_attention_cross_window_weight_exactly_zero():
+def test_attention_cross_window_weight_exactly_zero(record_softmax):
     params = AttentionParams("a", 8, seed=9)
-    sink = []
+    sink = record_softmax()
     x = Tensor(np.random.default_rng(10).normal(size=(1, 4, 8)))
     window_map = np.array([0, 0, 1, 1])
-    multi_head_attention(x, params, n_heads=2, window_map=window_map, weights_sink=sink)
+    multi_head_attention(x, params, n_heads=2, window_map=window_map)
     w = sink[0]
     blocked = window_map[:, None] != window_map[None, :]
     assert np.all(w[:, :, blocked] == 0.0)
@@ -185,8 +185,7 @@ def test_attention_window_map_length_checked():
 
 def test_encode_output_shape_and_final_norm():
     params = EncoderParams(DESK, seed=0)
-    seq = embed(np.random.default_rng(1).normal(size=(2, 48, 256)), params,
-                grid_shape=(6, 8))
+    seq = embed(np.random.default_rng(1).normal(size=(2, 48, 256)), params)
     feats = encode(seq, params)
     assert feats.features.shape == (2, 49, 64)
     assert feats.n_patches == 48
@@ -194,8 +193,8 @@ def test_encode_output_shape_and_final_norm():
 
 def test_encode_handles_both_desk_lengths():
     params = EncoderParams(DESK, seed=0)
-    for n, grid in ((48, (6, 8)), (80, (10, 8))):
-        seq = embed(np.zeros((1, n, 256)), params, grid_shape=grid)
+    for n in (48, 80):
+        seq = embed(np.zeros((1, n, 256)), params)
         feats = encode(seq, params)
         assert feats.features.shape == (1, n + 1, 64)
         assert np.all(np.isfinite(feats.features.data))
@@ -205,8 +204,8 @@ def test_encode_permutation_equivariance():
     params = EncoderParams(DESK, seed=2)
     tokens = np.random.default_rng(3).normal(size=(1, 49, 64))
     perm = np.concatenate([[0], 1 + np.random.default_rng(4).permutation(48)])
-    base = encode(TokenSequence(Tensor(tokens), 48, (6, 8)), params)
-    permuted = encode(TokenSequence(Tensor(tokens[:, perm]), 48, (6, 8)), params)
+    base = encode(TokenSequence(Tensor(tokens)), params)
+    permuted = encode(TokenSequence(Tensor(tokens[:, perm])), params)
     assert np.max(np.abs(permuted.features.data - base.features.data[:, perm])) < 1e-10
 
 
