@@ -12,11 +12,12 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
+from .finetune import ClassifierHead, logits, pool
 from .mae import DecoderParams, pretrain_step_loss, sample_mask
 from .rng import seeded_rng
 from .tensor import Tensor, grad_check, grad_check_params
-from .vit import (AttentionParams, BlockParams, EncoderParams, ModelConfig, multi_head_attention,
-                  transformer_block)
+from .vit import (AttentionParams, BlockParams, EncoderParams, ModelConfig, embed, encode,
+                  multi_head_attention, transformer_block)
 
 TOLERANCE = 1e-4
 
@@ -114,6 +115,21 @@ def model_battery(seed: int = 0) -> list[tuple[str, float]]:
 
     results.append(("transformer_block",
                     grad_check_params(block_loss, block.parameters(), coords_per_param=12)))
+
+    # CLS pooling's encoder: the last block after its attention runs on the
+    # CLS rows only (with a batch of one, on rows 0 and 1 of the sample).
+    cfg = ModelConfig(dim=16, n_heads=4, n_blocks=2, patch_size=4, patch_stride=4)
+    encoder, head = EncoderParams(cfg, seed), ClassifierHead(cfg.dim, seed)
+    for name, batch in (("cls_only_encoder", 3), ("cls_only_encoder_batch1", 1)):
+        patches = r.normal(size=(batch, 5, cfg.patch_values))
+        labels = np.arange(batch) % 2
+
+        def cls_loss():
+            feats = encode(embed(patches, encoder), encoder, cls_only=True)
+            return T.cross_entropy_with_logits(logits(pool(feats, "cls"), head), labels)
+
+        results.append((name, grad_check_params(cls_loss, encoder.parameters() + head.parameters(),
+                                                coords_per_param=6)))
     return results
 
 

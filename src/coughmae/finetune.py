@@ -10,6 +10,7 @@ ViT fine-tuning).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -178,7 +179,7 @@ def score_samples(patches: np.ndarray, encoder: EncoderParams, head: ClassifierH
         for lo in range(0, patches.shape[0], SCORE_BATCH):
             chunk = patches[lo:lo + SCORE_BATCH]
             seq = embed(chunk, encoder)
-            feats = encode(seq, encoder)
+            feats = encode(seq, encoder, cls_only=pooling == "cls")
             probs = classify(pool(feats, pooling), head)
             out.append(probs.data[:, 1])
     return np.concatenate(out)
@@ -226,7 +227,7 @@ def finetune_arrays(encoder: EncoderParams, patches: np.ndarray, labels: np.ndar
         for b in range(steps_per_epoch):
             chunk = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
             seq = embed(patches[chunk], encoder)
-            feats = encode(seq, encoder)
+            feats = encode(seq, encoder, cls_only=cfg.pooling == "cls")
             z = logits(pool(feats, cfg.pooling), head)
             loss = T.cross_entropy_with_logits(z, labels[chunk])
             value = loss.item()
@@ -293,12 +294,23 @@ def load_model(ckpt: Checkpoint, mel_cfg: MelConfig, model_cfg: ModelConfig) -> 
     finetuned = ckpt.config.get("kind") == "finetuned"
     if ckpt.stats is None and not finetuned:
         raise DataError("checkpoint has no normalization statistics; cannot fine-tune from it")
+    stats = None if ckpt.stats is None else _header_stats(ckpt.stats)
     encoder = EncoderParams(model_cfg, seed=None)
     head = ClassifierHead(model_cfg.dim, seed=None) if finetuned else None
     load_into(ckpt.arrays, encoder.parameters() + (head.parameters() if finetuned else []))
-    stats = None if ckpt.stats is None else DatasetStats(**ckpt.stats)
     pooling = ckpt.config.get("finetune", {}).get("pooling", "cls")
     return Model(encoder=encoder, head=head, pooling=pooling, stats=stats)
+
+
+def _header_stats(stats: dict) -> DatasetStats:
+    """A header's stats object: exactly `mean` and `std`, each a finite real number."""
+    def finite_real(v) -> bool:
+        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+    if set(stats) != {"mean", "std"} or not all(map(finite_real, stats.values())):
+        raise CheckpointError(f"checkpoint header: bad 'stats' section {str(stats)[:120]} "
+                              f"(needs exactly finite real mean and std)")
+    return DatasetStats(mean=stats["mean"], std=stats["std"])
 
 
 def build_scorer(encoder: EncoderParams, head: ClassifierHead, mel_cfg: MelConfig,
@@ -340,7 +352,7 @@ def build_scorer(encoder: EncoderParams, head: ClassifierHead, mel_cfg: MelConfi
             # Spectrograms and patches are freed before the encoder runs,
             # which sets the peak memory of segmentation.
             seq = embed_windows(wave, np.asarray(offsets, dtype=np.intp), win)
-            feats = encode(seq, encoder)
+            feats = encode(seq, encoder, cls_only=pooling == "cls")
             return classify(pool(feats, pooling), head).data[:, 1]
 
     return scorer

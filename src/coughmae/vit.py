@@ -5,7 +5,8 @@ patch is linearly projected, a learnable CLS token is prepended at position
 0, and fixed 1-d sinusoidal encodings are added. The encoder is a stack of
 pre-norm transformer blocks with a final layer norm. Positional encodings
 are a pure function of (length, dim), so the same weights run on any input
-length.
+length. For CLS pooling, encode(..., cls_only=True) computes the last
+block after its attention for the CLS rows alone.
 """
 from __future__ import annotations
 
@@ -256,10 +257,29 @@ def multi_head_attention(x: Tensor, params: AttentionParams, n_heads: int,
     return T.linear(out, params.wo.w, params.wo.b)
 
 
+def cls_rows(x: Tensor) -> Tensor:
+    """The CLS rows of a (batch, tokens, dim) sequence as one (rows, dim) matrix.
+
+    numpy sends a one-row product to GEMV, whose bits differ from the same
+    row of a GEMM; in a GEMM of two or more rows, each row gets the bits of
+    the per-sample (tokens, dim) product. So a batch of one carries its
+    rows 0 and 1, and the caller keeps row 0.
+    """
+    b, t, d = x.shape
+    idx = np.arange(min(2, t)) if b == 1 else np.array([0])
+    return T.reshape(T.gather(x, idx, axis=1), (b * len(idx), d))
+
+
 def transformer_block(x: Tensor, block: BlockParams, n_heads: int,
-                      window_map: np.ndarray | None = None) -> Tensor:
+                      window_map: np.ndarray | None = None, cls_only: bool = False) -> Tensor:
+    """Pre-norm block over (batch, tokens, dim). With cls_only, attention
+    still runs over every token, and the rest of the block over cls_rows(x)
+    only, giving a (rows, dim) matrix."""
     h = T.layer_norm(x, block.ln1_gain, block.ln1_bias)
-    x = x + multi_head_attention(h, block.attn, n_heads, window_map)
+    a = multi_head_attention(h, block.attn, n_heads, window_map)
+    if cls_only:
+        x, a = cls_rows(x), cls_rows(a)
+    x = x + a
     h = T.layer_norm(x, block.ln2_gain, block.ln2_bias)
     h = T.linear(h, block.mlp_in.w, block.mlp_in.b)
     h = T.gelu(h)
@@ -267,10 +287,23 @@ def transformer_block(x: Tensor, block: BlockParams, n_heads: int,
     return x + h
 
 
-def encode(seq: TokenSequence, params: EncoderParams) -> TokenSequence:
-    """Run the pre-norm block stack plus final layer norm (global attention)."""
+def encode(seq: TokenSequence, params: EncoderParams, cls_only: bool = False) -> TokenSequence:
+    """Run the pre-norm block stack plus final layer norm (global attention).
+
+    cls_only is for CLS pooling, which reads nothing but the CLS slot: the
+    last block's attention runs over every token, its residuals, MLP and
+    the final norm over the CLS rows only, and the output is the one-token
+    (batch, 1, dim) sequence. Its values are bit-identical to slot 0 of the
+    full output (see cls_rows).
+    """
     x = seq.tokens
-    for block in params.blocks:
-        x = transformer_block(x, block, params.cfg.n_heads)
+    batch, _, dim = x.shape
+    last = len(params.blocks) - 1
+    for i, block in enumerate(params.blocks):
+        x = transformer_block(x, block, params.cfg.n_heads, cls_only=cls_only and i == last)
     x = T.layer_norm(x, params.ln_gain, params.ln_bias)
+    if cls_only:
+        x = T.reshape(x, (batch, -1, dim))      # the rows carried per sample
+        if x.shape[1] > 1:
+            x = T.gather(x, np.array([0]), axis=1)
     return TokenSequence(tokens=x)

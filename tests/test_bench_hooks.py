@@ -42,8 +42,9 @@ def test_counter_hooks_exist():
 
 def test_encode_output_carries_traced_attributes():
     """The tracer reads `tokens` of encode's input and `features` of its
-    output, for the full sequence (fine-tuning, segmentation) and for the
-    masked one pretraining encodes."""
+    output, for the full sequence (mean pooling), the CLS-only call (CLS
+    pooling in fine-tuning and segmentation) and the masked sequence
+    pretraining encodes."""
     cfg = ModelConfig(dim=16, n_heads=2, patch_size=4, patch_stride=4)
     enc = EncoderParams(cfg, seed=0)
     seq = embed(np.zeros((2, 6, 16)), enc)
@@ -51,6 +52,15 @@ def test_encode_output_carries_traced_attributes():
     assert seq.tokens.shape == out.tokens.shape == (2, 7, 16)
     assert out.features.shape == (2, 7, 16)
     assert seq.n_patches == out.n_patches == 6
+
+    tracer = read_module("tracer").Tracer()
+    traced_encode = tracer._count_encode(tracer.span("vit.encode", encode))
+    for batch in (2, 1):
+        cls_out = traced_encode(embed(np.ones((batch, 6, 16)), enc), enc, cls_only=True)
+        assert cls_out.features.shape == (batch, 1, 16)
+    assert tracer.counts["vit.encode.tokens"] == (2 + 1) * 7
+    assert tracer.counts["vit.encode.tape_nodes"] > 0
+    assert [span[0] for span in tracer.spans].count("vit.encode") == 2
 
     plan = MaskPlan(n_patches=6, masked=(0, 2, 5), visible=(1, 3, 4), ratio=0.5)
     visible = apply_mask(seq, plan)

@@ -342,6 +342,18 @@ def test_checkpoint_header_without_section_exit_1(section, finetuned_model, corp
     assert repr(section) in err
 
 
+def test_malformed_stats_exit_1(finetuned_model, corpus, capsys, tmp_path):
+    ckpt = load_checkpoint(finetuned_model / "model.bin")
+    save_checkpoint(tmp_path / "model.bin", ckpt.arrays, ckpt.config, {"mu": 0.0})
+    cfg = write_config(tmp_path / "seg.json", model=SMALL_MODEL,
+                       paths={"output_dir": str(tmp_path / "seg_out")})
+    wav = sorted(corpus.parent.glob("*.wav"))[0]
+    code, _, err = run_cli(capsys, "segment", "--config", str(cfg), "--audio", str(wav),
+                           "--checkpoint", str(tmp_path / "model.bin"))
+    assert code == 1
+    assert err.startswith("error:") and "'stats'" in err and "Traceback" not in err
+
+
 def test_flipped_header_byte_exit_1(finetuned_model, corpus, capsys, tmp_path):
     # a damaged header is a corrupt file (exit 1), not a contradicting config (exit 2)
     raw = (finetuned_model / "model.bin").read_bytes()

@@ -11,13 +11,13 @@ from hypothesis import given, strategies as st
 import coughmae.tensor as T
 from coughmae import finetune as finetune_module
 from coughmae import vit, workers
-from coughmae.checkpoint import Checkpoint, load_into
+from coughmae.checkpoint import Checkpoint, load_checkpoint, load_into, save_checkpoint
 from coughmae.dsp import DatasetManifest, ManifestEntry, MelConfig, synth_dataset
 from coughmae.errors import CheckpointError, ConfigError, DataError, NumericsError, ShapeError
-from coughmae.finetune import (ClassifierHead, EvalReport, FinetuneConfig,
+from coughmae.finetune import (SCORE_BATCH, ClassifierHead, EvalReport, FinetuneConfig,
                                FinetuneResult, auroc, classify, cross_validate,
                                finetune_arrays, kfold_split, load_model, pool,
-                               prepare_finetune)
+                               prepare_finetune, score_samples)
 from coughmae.mae import prepare_patches
 from coughmae.optim import clip_grad_norm
 from coughmae.tensor import Parameter
@@ -302,6 +302,21 @@ def test_loader_rejects_header_without_section(section):
         load_model(ckpt, MelConfig(), cfg)
 
 
+@pytest.mark.parametrize("stats", [{"mu": 0.0}, {"mean": "x", "std": 1.0},
+                                   {"mean": 0.0, "std": float("nan")},
+                                   {"mean": True, "std": 1.0},
+                                   {"mean": 0.0, "std": 1.0, "degenerate": False}])
+def test_loader_rejects_malformed_stats(stats, tmp_path):
+    """A stats object other than exactly a finite real mean and std, in a
+    file with a valid digest, is a CheckpointError, not a raw TypeError or
+    a model that normalizes with a string."""
+    cfg = ModelConfig()
+    ckpt = finetuned_checkpoint(cfg)
+    save_checkpoint(tmp_path / "model.bin", ckpt.arrays, ckpt.config, stats)
+    with pytest.raises(CheckpointError, match="'stats'"):
+        load_model(load_checkpoint(tmp_path / "model.bin"), MelConfig(), cfg)
+
+
 def test_loader_needs_stats_of_pretraining_checkpoint():
     cfg = ModelConfig()
     ckpt = finetuned_checkpoint(cfg, "pretrain")
@@ -398,6 +413,29 @@ def test_cross_validate_report(small_task):
     assert '"mean_auroc"' in json_text
     assert csv_text.startswith("fold,best_epoch,auroc,pooling,init")
     assert csv_text.count("\n") == 4 + 2   # header + folds + mean row
+
+
+def test_score_samples_cls_bit_identical_to_full_sequence():
+    """Under CLS pooling score_samples runs the last block on the CLS rows
+    only; its probabilities equal those of the full-sequence encoder byte for
+    byte: in chunks of 32 and 1, and for each sample scored alone (a batch
+    of one carries a second row; with one row, 6 of these 16 differ)."""
+    model_cfg = ModelConfig()     # the desk widths, where GEMV and GEMM rows differ
+    encoder, head = EncoderParams(model_cfg, seed=3), ClassifierHead(model_cfg.dim, seed=4)
+    head.w.data *= 100.0     # logits of order one, so a last-bit change in a feature shows
+    patches = np.random.default_rng(0).normal(size=(SCORE_BATCH + 1, 48, 256))
+
+    def full_sequence(chunk):
+        with T.no_grad():
+            full = vit.encode(vit.embed(chunk, encoder), encoder)
+            return classify(pool(full, "cls"), head).data[:, 1]
+
+    want = np.concatenate([full_sequence(patches[:SCORE_BATCH]),
+                           full_sequence(patches[SCORE_BATCH:])])
+    assert score_samples(patches, encoder, head, "cls").tobytes() == want.tobytes()
+    for i in range(16):
+        alone = score_samples(patches[i:i + 1], encoder, head, "cls")
+        assert alone.tobytes() == full_sequence(patches[i:i + 1]).tobytes(), i
 
 
 def test_finetune_step_frees_its_tape(small_task):

@@ -1,4 +1,6 @@
 """Patch extraction, positional encodings, attention, and the encoder stack."""
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -207,6 +209,49 @@ def test_encode_permutation_equivariance():
     base = encode(TokenSequence(Tensor(tokens)), params)
     permuted = encode(TokenSequence(Tensor(tokens[:, perm])), params)
     assert np.max(np.abs(permuted.features.data - base.features.data[:, perm])) < 1e-10
+
+
+def full_sequence_cls(seq, params):
+    """Slot 0 of the full-sequence encoder, block by block: the reference the
+    CLS-only path must equal bit for bit."""
+    x = seq.tokens
+    for block in params.blocks:
+        x = transformer_block(x, block, params.cfg.n_heads)
+    return T.layer_norm(x, params.ln_gain, params.ln_bias).data[:, :1]
+
+
+@pytest.mark.parametrize("tape", [True, False])
+@pytest.mark.parametrize("n_tokens", [17, 49])
+@pytest.mark.parametrize("batch", [1, 2, 3, 16, 33])
+def test_cls_only_encode_bit_identical_to_full_slot_zero(batch, n_tokens, tape):
+    params = EncoderParams(DESK, seed=7)
+    patches = np.random.default_rng(100 * batch + n_tokens).normal(size=(batch, n_tokens - 1, 256))
+    with contextlib.nullcontext() if tape else T.no_grad():
+        seq = embed(patches, params)
+        want = full_sequence_cls(seq, params)
+        got = encode(seq, params, cls_only=True)
+    assert got.features.shape == (batch, 1, DESK.dim)
+    assert got.features.requires_grad == tape
+    assert np.ascontiguousarray(got.features.data).tobytes() == want.copy().tobytes()
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+def test_cls_only_encode_gradients_match_full_sequence(batch):
+    params = EncoderParams(DESK, seed=8)
+    patches = np.random.default_rng(batch).normal(size=(batch, 16, 256))
+    target = np.random.default_rng(10 + batch).normal(size=(batch, 1, DESK.dim))
+
+    def grads(cls_only):
+        for p in params.parameters():
+            p.zero_grad()
+        out = encode(embed(patches, params), params, cls_only=cls_only).features
+        if not cls_only:
+            out = T.gather(out, np.array([0]), axis=1)
+        T.backward(T.reduce_sum(out * Tensor(target)))
+        return [p.grad.copy() for p in params.parameters()]
+
+    for full, cls in zip(grads(False), grads(True)):
+        assert np.allclose(cls, full, rtol=1e-12, atol=1e-15)
 
 
 def test_transformer_block_gradients():
