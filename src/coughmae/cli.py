@@ -68,8 +68,8 @@ def cmd_finetune(args) -> int:
     report = cross_validate(data, cfg.finetune, cfg.seed, log=_log)
     (out_dir / "eval_report.json").write_text(report.to_json())
     (out_dir / "eval_report.csv").write_text(report.to_csv())
-    _log(f"mean auroc {report.mean_auroc:.4f} over {cfg.finetune.k_folds} folds "
-         f"(pooling={report.pooling}, init={report.init_kind})")
+    _log(f"mean auroc {report.mean_last_epoch_auroc:.4f} at the last epoch over "
+         f"{cfg.finetune.k_folds} folds (pooling={report.pooling}, init={report.init_kind})")
 
     if args.final_model:
         _train_final_model(cfg, data, report, out_dir)
@@ -84,11 +84,9 @@ def _train_final_model(cfg: RunConfig, data: FinetuneData, report, out_dir: Path
     all_idx = np.arange(len(data.labels))
     # On a pool thread, the retrain reuses the memory the fold workers freed.
     # It trains for a fixed epoch count, so it scores no validation set.
-    result = on_worker(lambda: data.run(all_idx, None, ft_cfg, cfg.seed))
-    stats = None if data.init is None else data.init.stats
-    save_model(out_dir / "model.bin", result.encoder.parameters() + result.head.parameters(),
-               stats, "finetuned", cfg.seed, cfg.mel, cfg.model,
-               finetune=ft_cfg, normalized=stats is not None)
+    model = on_worker(lambda: data.run(all_idx, None, ft_cfg, cfg.seed)).model
+    save_model(out_dir / "model.bin", model.parameters(), model.stats, "finetuned", cfg.seed,
+               cfg.mel, cfg.model, finetune=ft_cfg, normalized=model.stats is not None)
     _log(f"final model retrained for {epochs} epochs -> {out_dir / 'model.bin'}")
 
 
@@ -103,7 +101,7 @@ def cmd_segment(args) -> int:
     model = load_model(ckpt, cfg.mel, cfg.model)
     if model.head is None:
         raise DataError("checkpoint has no classifier head; fine-tune first")
-    scorer = build_scorer(model.encoder, model.head, cfg.mel, model.pooling, model.stats)
+    scorer = build_scorer(model, cfg.mel)
     wave = resample(load_wav(args.audio), cfg.mel.target_rate)
     events = slide(wave, scorer, cfg.segment)
     out_dir = Path(cfg.paths.output_dir)

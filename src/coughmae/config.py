@@ -87,21 +87,8 @@ def parse_config(data: dict) -> RunConfig:
     return _build_dataclass(RunConfig, data, "config")
 
 
-def config_to_dict(cfg) -> dict:
-    out = {}
-    for f in dataclasses.fields(cfg):
-        value = getattr(cfg, f.name)
-        if dataclasses.is_dataclass(value):
-            out[f.name] = config_to_dict(value)
-        elif isinstance(value, tuple):
-            out[f.name] = list(value)
-        else:
-            out[f.name] = value
-    return out
-
-
 def serialize_config(cfg: RunConfig) -> str:
-    return json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n"
+    return json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True) + "\n"
 
 
 def load_config(path) -> RunConfig:

@@ -4,19 +4,20 @@ Each entry compares backward gradients against central finite differences
 (step 1e-5, float64) and reports the max relative error. The composite
 entries check gradients with respect to actual model Parameters, probing the
 largest-gradient coordinates of each tensor plus one random direction through
-the whole parameter vector; the pretraining-loss entry runs the real
-desk-scale pipeline on a seeded batch.
+the whole parameter vector; the cls_only entries run fine-tuning's
+finetune.forward under CLS pooling, and the pretraining-loss entry runs the
+real desk-scale pipeline on a seeded batch.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from . import tensor as T
-from .finetune import ClassifierHead, logits, pool
+from .finetune import N_CLASSES, Model, forward
 from .mae import DecoderParams, pretrain_step_loss, sample_mask
 from .rng import seeded_rng
 from .tensor import Tensor, grad_check, grad_check_params
-from .vit import (AttentionParams, BlockParams, EncoderParams, ModelConfig, embed, encode,
+from .vit import (AttentionParams, BlockParams, EncoderParams, LinearParams, ModelConfig,
                   multi_head_attention, transformer_block)
 
 TOLERANCE = 1e-4
@@ -116,20 +117,20 @@ def model_battery(seed: int = 0) -> list[tuple[str, float]]:
     results.append(("transformer_block",
                     grad_check_params(block_loss, block.parameters(), coords_per_param=12)))
 
-    # CLS pooling's encoder: the last block after its attention runs on the
-    # CLS rows only (with a batch of one, on rows 0 and 1 of the sample).
+    # The fine-tuning forward under CLS pooling: the encoder's last block after
+    # its attention runs on the CLS rows only (with a batch of one, on rows 0
+    # and 1 of the sample).
     cfg = ModelConfig(dim=16, n_heads=4, n_blocks=2, patch_size=4, patch_stride=4)
-    encoder, head = EncoderParams(cfg, seed), ClassifierHead(cfg.dim, seed)
+    model = Model(encoder=EncoderParams(cfg, seed),
+                  head=LinearParams("head", cfg.dim, N_CLASSES, seed), pooling="cls", stats=None)
     for name, batch in (("cls_only_encoder", 3), ("cls_only_encoder_batch1", 1)):
         patches = r.normal(size=(batch, 5, cfg.patch_values))
         labels = np.arange(batch) % 2
 
         def cls_loss():
-            feats = encode(embed(patches, encoder), encoder, cls_only=True)
-            return T.cross_entropy_with_logits(logits(pool(feats, "cls"), head), labels)
+            return T.cross_entropy_with_logits(forward(model, patches), labels)
 
-        results.append((name, grad_check_params(cls_loss, encoder.parameters() + head.parameters(),
-                                                coords_per_param=6)))
+        results.append((name, grad_check_params(cls_loss, model.parameters(), coords_per_param=6)))
     return results
 
 

@@ -1,11 +1,14 @@
 """Binary-classification fine-tuning and evaluation.
 
-The encoder output is pooled (CLS token or mean over patch features), a
-two-logit linear head plus softmax gives class probabilities, and quality is
-measured by rank-based AUROC. Fine-tuning updates the whole network with
-separate learning rates for encoder and head, after clipping the gradient of
-encoder and head together to one global L2 norm (MAX_GRAD_NORM, 1.0 as in
-ViT fine-tuning).
+A Model is the downstream classifier: the encoder, a linear head from the
+pooled features (CLS token or mean over patch features) to two logits, and
+the pooling mode. `forward` is its one forward pass, for training steps,
+validation and segmentation alike; softmax over the logits gives class
+probabilities, and quality is measured by rank-based AUROC. Fine-tuning
+updates the whole network with separate learning rates for encoder and
+head, after clipping the gradient of encoder and head together to one
+global L2 norm (MAX_GRAD_NORM, 1.0 as in ViT fine-tuning). Cross-validation
+reports each fold's best-epoch and last-epoch AUROC.
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ from .errors import (CheckpointError, ConfigError, CoughMaeError, DataError,
 from .mae import prepare_patches
 from .optim import AdamW, clip_grad_norm, warmup_cosine_lr
 from .rng import seeded_rng
-from .tensor import Tensor
+from .tensor import Parameter, Tensor
 from .vit import (EncoderParams, LinearParams, ModelConfig, TokenSequence, embed,
                   encode, patchify)
 from .workers import in_order, worker_count
@@ -54,11 +57,23 @@ class FinetuneConfig:
             raise ConfigError("epochs/batch_size must be positive and k_folds >= 2")
 
 
-class ClassifierHead(LinearParams):
-    """Linear map from pooled features to two logits."""
+@dataclass
+class Model:
+    """The downstream classifier: an encoder, a linear head from pooled
+    features to two logits, and the pooling mode between them.
 
-    def __init__(self, dim: int, seed: int | None):
-        super().__init__("head", dim, N_CLASSES, seed)
+    The head is LinearParams("head", dim, N_CLASSES, seed); a pretraining
+    checkpoint loads without one. `stats` normalize the log-mels the model
+    takes; None means raw log-mels.
+    """
+
+    encoder: EncoderParams
+    head: LinearParams | None
+    pooling: str
+    stats: DatasetStats | None
+
+    def parameters(self) -> list[Parameter]:
+        return self.encoder.parameters() + self.head.parameters()
 
 
 def pool(feats: TokenSequence, mode: str) -> Tensor:
@@ -94,13 +109,16 @@ def _order_invariant_mean(x: Tensor) -> Tensor:
     return T._node(out, "sorted_mean", (x,), (vjp,))
 
 
-def logits(pooled: Tensor, head: ClassifierHead) -> Tensor:
-    return T.linear(pooled, head.w, head.b)
+def forward(model: Model, patches: np.ndarray) -> Tensor:
+    """The two logits (batch, 2) of each sample in a stacked patch array.
 
-
-def classify(pooled: Tensor, head: ClassifierHead) -> Tensor:
-    """Class probabilities (batch, 2): softmax over the two logits."""
-    return T.softmax(logits(pooled, head))
+    embed, encode, pool, head: the one forward of training, validation and
+    segmentation. Under CLS pooling the encoder runs its last block for the
+    CLS rows only (vit.encode's cls_only).
+    """
+    seq = embed(patches, model.encoder)
+    feats = encode(seq, model.encoder, cls_only=model.pooling == "cls")
+    return T.linear(pool(feats, model.pooling), model.head.w, model.head.b)
 
 
 def auroc(scores, labels) -> float:
@@ -163,42 +181,35 @@ def kfold_split(labels, k: int, seed: int) -> tuple[tuple[int, ...], ...]:
 
 @dataclass
 class FinetuneResult:
-    encoder: EncoderParams
-    head: ClassifierHead
+    model: Model                  # the final epoch's weights
     curve: list[float]            # validation AUROC per epoch; empty without validation
-    best_epoch: int               # the last epoch without validation
-    best_auroc: float             # nan without validation
     train_loss: list[float] = field(default_factory=list)
 
 
-def score_samples(patches: np.ndarray, encoder: EncoderParams, head: ClassifierHead,
-                  pooling: str) -> np.ndarray:
-    """Positive-class probability for each sample in a stacked patch array (no tape)."""
+def score_samples(patches: np.ndarray, model: Model) -> np.ndarray:
+    """Positive-class probability for each sample in a stacked patch array,
+    SCORE_BATCH samples per forward, with no tape."""
     out = []
     with T.no_grad():
         for lo in range(0, patches.shape[0], SCORE_BATCH):
-            chunk = patches[lo:lo + SCORE_BATCH]
-            seq = embed(chunk, encoder)
-            feats = encode(seq, encoder, cls_only=pooling == "cls")
-            probs = classify(pool(feats, pooling), head)
-            out.append(probs.data[:, 1])
+            out.append(T.softmax(forward(model, patches[lo:lo + SCORE_BATCH])).data[:, 1])
     return np.concatenate(out)
 
 
-def finetune_arrays(encoder: EncoderParams, patches: np.ndarray, labels: np.ndarray,
+def finetune_arrays(model: Model, patches: np.ndarray, labels: np.ndarray,
                     train_idx, val_idx, cfg: FinetuneConfig, seed: int,
                     log=None) -> FinetuneResult:
-    """Fine-tune encoder+head on pre-extracted patches.
+    """Fine-tune the model's encoder and head in place on pre-extracted patches.
 
-    Full fine-tuning: the encoder moves at cfg.encoder_lr and the fresh head
-    at cfg.head_lr, both on the warmup/cosine schedule. Between backward and
+    Full fine-tuning: the encoder moves at cfg.encoder_lr and the head at
+    cfg.head_lr, both on the warmup/cosine schedule; the batch order is
+    drawn from seed, and the pooling is the model's. Between backward and
     the two optimizer steps, the gradient of encoder and head together is
     clipped to one global L2 norm, MAX_GRAD_NORM (clipping each group on
     its own leaves more runs from a pretrained encoder stalled). After every
-    epoch the validation AUROC is recorded, and best_epoch/best_auroc name
-    the curve's maximum; the returned model always carries the final
-    epoch's weights. val_idx=None trains without validation: nothing is
-    scored and the curve is empty.
+    epoch the validation AUROC is appended to the curve; the model keeps the
+    final epoch's weights. val_idx=None trains without validation: nothing
+    is scored and the curve is empty.
     Each step's autodiff tape is freed before the next step's forward.
     """
     train_idx = np.asarray(train_idx, dtype=np.intp)
@@ -206,9 +217,8 @@ def finetune_arrays(encoder: EncoderParams, patches: np.ndarray, labels: np.ndar
         val_idx = np.asarray(val_idx, dtype=np.intp)
     if len(train_idx) == 0 or (val_idx is not None and len(val_idx) == 0):
         raise DataError("fine-tuning needs non-empty train and validation sets")
-    head = ClassifierHead(encoder.cfg.dim, seed)
-    enc_params = encoder.parameters()
-    head_params = head.parameters()
+    enc_params = model.encoder.parameters()
+    head_params = model.head.parameters()
     all_params = enc_params + head_params
     opt_enc = AdamW(enc_params, lr=cfg.encoder_lr, betas=cfg.betas,
                     weight_decay=cfg.weight_decay)
@@ -220,15 +230,12 @@ def finetune_arrays(encoder: EncoderParams, patches: np.ndarray, labels: np.ndar
     total_steps = cfg.epochs * steps_per_epoch
     curve: list[float] = []
     train_loss: list[float] = []
-    best_epoch, best_auroc = -1, -np.inf
     step = 0
     for epoch in range(cfg.epochs):
         order = train_idx[shuffle_rng.permutation(len(train_idx))]
         for b in range(steps_per_epoch):
             chunk = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
-            seq = embed(patches[chunk], encoder)
-            feats = encode(seq, encoder, cls_only=cfg.pooling == "cls")
-            z = logits(pool(feats, cfg.pooling), head)
+            z = forward(model, patches[chunk])
             loss = T.cross_entropy_with_logits(z, labels[chunk])
             value = loss.item()
             if not np.isfinite(value):
@@ -236,7 +243,7 @@ def finetune_arrays(encoder: EncoderParams, patches: np.ndarray, labels: np.ndar
             opt_enc.zero_grad()
             opt_head.zero_grad()
             T.backward(loss)
-            del seq, feats, z, loss     # the step's tape, freed before the next forward
+            del z, loss                 # the step's tape, freed before the next forward
             clip_grad_norm(all_params, MAX_GRAD_NORM)
             lr_scale = warmup_cosine_lr(step, total_steps, 1.0, cfg.warmup_frac)
             opt_enc.step(lr=cfg.encoder_lr * lr_scale)
@@ -245,31 +252,13 @@ def finetune_arrays(encoder: EncoderParams, patches: np.ndarray, labels: np.ndar
             step += 1
         if val_idx is None:
             continue
-        val_scores = score_samples(patches[val_idx], encoder, head, cfg.pooling)
-        epoch_auroc = auroc(val_scores, labels[val_idx])
-        curve.append(epoch_auroc)
-        if epoch_auroc > best_auroc:
-            best_epoch, best_auroc = epoch, epoch_auroc
+        curve.append(auroc(score_samples(patches[val_idx], model), labels[val_idx]))
         if log is not None:
-            log(f"epoch {epoch + 1}/{cfg.epochs} val_auroc {epoch_auroc:.4f}")
-    if val_idx is None:
-        best_epoch, best_auroc = cfg.epochs - 1, float("nan")
-    return FinetuneResult(encoder=encoder, head=head, curve=curve,
-                          best_epoch=best_epoch, best_auroc=best_auroc,
-                          train_loss=train_loss)
+            log(f"epoch {epoch + 1}/{cfg.epochs} val_auroc {curve[-1]:.4f}")
+    return FinetuneResult(model=model, curve=curve, train_loss=train_loss)
 
 
 # - Models from checkpoints -
-
-
-@dataclass
-class Model:
-    """A network rebuilt from a checkpoint."""
-
-    encoder: EncoderParams
-    head: ClassifierHead | None   # fine-tuned checkpoints only
-    pooling: str
-    stats: DatasetStats | None    # None: the model takes raw log-mels
 
 
 def load_model(ckpt: Checkpoint, mel_cfg: MelConfig, model_cfg: ModelConfig) -> Model:
@@ -296,7 +285,7 @@ def load_model(ckpt: Checkpoint, mel_cfg: MelConfig, model_cfg: ModelConfig) -> 
         raise DataError("checkpoint has no normalization statistics; cannot fine-tune from it")
     stats = None if ckpt.stats is None else _header_stats(ckpt.stats)
     encoder = EncoderParams(model_cfg, seed=None)
-    head = ClassifierHead(model_cfg.dim, seed=None) if finetuned else None
+    head = LinearParams("head", model_cfg.dim, N_CLASSES, seed=None) if finetuned else None
     load_into(ckpt.arrays, encoder.parameters() + (head.parameters() if finetuned else []))
     pooling = ckpt.config.get("finetune", {}).get("pooling", "cls")
     return Model(encoder=encoder, head=head, pooling=pooling, stats=stats)
@@ -313,29 +302,27 @@ def _header_stats(stats: dict) -> DatasetStats:
     return DatasetStats(mean=stats["mean"], std=stats["std"])
 
 
-def build_scorer(encoder: EncoderParams, head: ClassifierHead, mel_cfg: MelConfig,
-                 pooling: str, stats=None):
+def build_scorer(model: Model, mel_cfg: MelConfig):
     """Window scorer for segmentation: (wave, offsets, win) -> probabilities.
 
     Returns one positive-class probability per offset, for the windows
     wave.samples[o:o + win]. Each window is featurized exactly like training
-    data (log-mel at the window's length; normalized only when the model was
-    trained on normalized input). When every offset lies a whole number of
-    hops after the first, one log-mel of the span the windows cover is cut
-    into the windows' rows: frames are fully contained (no centre padding),
-    so those rows are each window's own log-mel. Otherwise each window gets
-    its own log-mel. All windows then run through one encoder forward with
-    no tape.
+    data (log-mel at the window's length; normalized only when the model
+    has stats). When every offset lies a whole number of hops after the
+    first, one log-mel of the span the windows cover is cut into the
+    windows' rows: frames are fully contained (no centre padding), so those
+    rows are each window's own log-mel. Otherwise each window gets its own
+    log-mel. The windows' patches then go to score_samples.
     """
     hop = mel_cfg.frame_hop_samples
 
     def features(samples: np.ndarray, rate: int) -> np.ndarray:
         spec = log_mel_spectrogram(Waveform(samples=samples, sample_rate=rate), mel_cfg)
-        if stats is not None:
-            spec = normalize(spec, stats.mean, stats.std)
+        if model.stats is not None:
+            spec = normalize(spec, model.stats.mean, model.stats.std)
         return spec.values
 
-    def embed_windows(wave: Waveform, offsets: np.ndarray, win: int):
+    def window_patches(wave: Waveform, offsets: np.ndarray, win: int) -> np.ndarray:
         samples, rate = wave.samples, wave.sample_rate
         shifts = offsets - offsets[0]
         if np.all(shifts % hop == 0):
@@ -344,16 +331,13 @@ def build_scorer(encoder: EncoderParams, head: ClassifierHead, mel_cfg: MelConfi
             values = np.stack([span[k:k + n_frames] for k in shifts // hop])
         else:
             values = np.stack([features(samples[o:o + win], rate) for o in offsets])
-        patches, _ = patchify(values, encoder.cfg.patch_size, encoder.cfg.patch_stride)
-        return embed(patches, encoder)
+        patches, _ = patchify(values, model.encoder.cfg.patch_size, model.encoder.cfg.patch_stride)
+        return patches
 
     def scorer(wave: Waveform, offsets, win: int) -> np.ndarray:
-        with T.no_grad():
-            # Spectrograms and patches are freed before the encoder runs,
-            # which sets the peak memory of segmentation.
-            seq = embed_windows(wave, np.asarray(offsets, dtype=np.intp), win)
-            feats = encode(seq, encoder, cls_only=pooling == "cls")
-            return classify(pool(feats, pooling), head).data[:, 1]
+        # Only the patches outlive window_patches: its spectrograms are freed
+        # before the encoder runs.
+        return score_samples(window_patches(wave, np.asarray(offsets, dtype=np.intp), win), model)
 
     return scorer
 
@@ -370,12 +354,17 @@ class FinetuneData:
 
     def run(self, train_idx, val_idx, cfg: FinetuneConfig, seed: int,
             log=None) -> FinetuneResult:
-        """finetune_arrays from a fresh encoder: a copy of the init's, or drawn from seed."""
+        """finetune_arrays on a fresh model: the init's encoder copied (or
+        drawn from seed), a head drawn from seed, cfg's pooling, and the
+        statistics the patches were normalized with."""
         encoder = EncoderParams(self.model_cfg, seed if self.init is None else None)
         if self.init is not None:
             load_into({p.name: p.data for p in self.init.encoder.parameters()},
                       encoder.parameters())
-        return finetune_arrays(encoder, self.patches, self.labels, train_idx, val_idx,
+        head = LinearParams("head", self.model_cfg.dim, N_CLASSES, seed)
+        model = Model(encoder=encoder, head=head, pooling=cfg.pooling,
+                      stats=None if self.init is None else self.init.stats)
+        return finetune_arrays(model, self.patches, self.labels, train_idx, val_idx,
                                cfg, seed, log=log)
 
 
@@ -397,14 +386,37 @@ def prepare_finetune(init: Checkpoint | None, manifest: DatasetManifest,
 
 @dataclass
 class EvalReport:
-    """Per-fold fine-tuning outcomes plus the raw epoch curves."""
+    """Per-fold validation AUROC curves, and the fold figures read off them.
+
+    A fold's best epoch is the first maximum of its curve and fold_auroc
+    the AUROC there. That epoch is picked on the fold it is reported on, so
+    their mean is optimistic; last_epoch_auroc is the AUROC of the weights
+    fine-tuning keeps, picked on nothing.
+    """
 
     pooling: str
-    fold_auroc: list[float]
-    best_epochs: list[int]
     curves: list[list[float]]
-    mean_auroc: float
     init_kind: str
+
+    @property
+    def best_epochs(self) -> list[int]:
+        return [int(np.argmax(c)) for c in self.curves]
+
+    @property
+    def fold_auroc(self) -> list[float]:
+        return [c[e] for c, e in zip(self.curves, self.best_epochs)]
+
+    @property
+    def last_epoch_auroc(self) -> list[float]:
+        return [c[-1] for c in self.curves]
+
+    @property
+    def mean_auroc(self) -> float:
+        return float(np.mean(self.fold_auroc))
+
+    @property
+    def mean_last_epoch_auroc(self) -> float:
+        return float(np.mean(self.last_epoch_auroc))
 
     def to_json(self) -> str:
         return json.dumps({
@@ -413,6 +425,8 @@ class EvalReport:
             "fold_auroc": self.fold_auroc,
             "best_epochs": self.best_epochs,
             "mean_auroc": self.mean_auroc,
+            "last_epoch_auroc": self.last_epoch_auroc,
+            "mean_last_epoch_auroc": self.mean_last_epoch_auroc,
             "curves": self.curves,
         }, indent=2, sort_keys=True) + "\n"
 
@@ -431,7 +445,7 @@ def cross_validate(data: FinetuneData, cfg: FinetuneConfig, seed: int,
     Fold f trains on the other folds and validates on fold f, seeded with
     seed * 1000 + f. Folds share only read-only inputs, so they run in
     workers.worker_count() ordered worker threads with OpenBLAS at one
-    thread, and each gives the bits it gives alone. Results, and each
+    thread, and each gives the bits it gives alone. Curves, and each
     fold's buffered progress lines, are taken in fold order in the caller's
     thread, so the report is byte-identical at any worker count and `log`
     is only ever called from the caller's thread.
@@ -445,17 +459,13 @@ def cross_validate(data: FinetuneData, cfg: FinetuneConfig, seed: int,
         lines: list[str] = []
         result = data.run(train_idx, val_idx, cfg, seed * 1000 + f,
                           log=lines.append if log else None)
-        return result.best_auroc, result.best_epoch, result.curve, lines
+        return result.curve, lines
 
-    fold_auroc, best_epochs, curves = [], [], []
+    curves = []
     with in_order(run_fold, range(len(folds)), worker_count()) as results:
-        for f, (best_auroc, best_epoch, curve, lines) in results:
+        for f, (curve, lines) in results:
             for line in lines:
                 log(f"fold {f}: {line}")
-            fold_auroc.append(best_auroc)
-            best_epochs.append(best_epoch)
             curves.append(curve)
-    return EvalReport(pooling=cfg.pooling, fold_auroc=fold_auroc,
-                      best_epochs=best_epochs, curves=curves,
-                      mean_auroc=float(np.mean(fold_auroc)),
+    return EvalReport(pooling=cfg.pooling, curves=curves,
                       init_kind="pretrained" if data.init is not None else "scratch")

@@ -93,39 +93,13 @@ class Tensor:
     def __add__(self, other):
         return add(self, _lift(other))
 
-    def __radd__(self, other):
-        return add(_lift(other), self)
-
     def __sub__(self, other):
         return subtract(self, _lift(other))
-
-    def __rsub__(self, other):
-        return subtract(_lift(other), self)
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             return scale(self, float(other))
         return multiply(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, axes):
-        return transpose(self, axes)
-
-    def sum(self, axis=None, keepdims=False):
-        return reduce_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return reduce_mean(self, axis=axis, keepdims=keepdims)
 
 
 class Parameter(Tensor):

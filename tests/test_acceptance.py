@@ -19,7 +19,8 @@ from coughmae.cli import main as cli_main
 from coughmae.diagnostics import TOLERANCE, full_battery, pretrain_loss_check
 from coughmae.dsp import (DatasetManifest, ManifestEntry, MelConfig, Waveform,
                           save_manifest, save_wav, synth_dataset)
-from coughmae.finetune import FinetuneConfig, auroc, finetune_arrays, prepare_finetune
+from coughmae.finetune import (N_CLASSES, FinetuneConfig, Model, auroc, finetune_arrays,
+                               prepare_finetune)
 from coughmae.mae import (DecoderParams, PretrainConfig, decode, masked_mse,
                           patch_norm_targets, prepare_patches, pretrain,
                           restore_with_mask_tokens, sample_mask, window_map_for_grid)
@@ -27,7 +28,7 @@ from coughmae.rng import seeded_rng
 from coughmae.segment import (Event, F1Scores, SegmentationConfig, event_f1,
                               per_window, sample_f1, slide)
 from coughmae.tensor import Tensor
-from coughmae.vit import (EncoderParams, ModelConfig, TokenSequence, embed,
+from coughmae.vit import (EncoderParams, LinearParams, ModelConfig, TokenSequence, embed,
                           encode, patch_grid)
 
 
@@ -351,8 +352,9 @@ def test_criterion_9_variable_length(tmp_path):
         enc = EncoderParams(cfg, seed=0)       # identical parameter set each time
         feats = encode(embed(patches[:2], enc), enc)
         finite = finite and bool(np.isfinite(feats.features.data).all())
-        r = finetune_arrays(enc, patches, labels, np.arange(8), np.arange(8),
-                            ft_cfg, seed=0)
+        model = Model(encoder=enc, head=LinearParams("head", cfg.dim, N_CLASSES, seed=0),
+                      pooling=ft_cfg.pooling, stats=None)
+        r = finetune_arrays(model, patches, labels, np.arange(8), np.arange(8), ft_cfg, seed=0)
         finite = finite and len(r.train_loss) > 0 and bool(np.all(np.isfinite(r.train_loss)))
 
     err48 = pretrain_loss_check(seed=0, n_patches=48)

@@ -1,8 +1,10 @@
 """Run-configuration parsing, validation, and canonical serialization."""
+import dataclasses
+
 import pytest
 
-from coughmae.config import (RunConfig, _coerce, config_to_dict, load_config,
-                             parse_config, serialize_config)
+from coughmae.config import (RunConfig, _coerce, load_config, parse_config,
+                             serialize_config)
 from coughmae.errors import ConfigError
 
 
@@ -49,7 +51,7 @@ def test_roundtrip_is_identity():
     cfg = parse_config({"seed": 4, "model": {"dim": 32, "n_heads": 2},
                         "segment": {"threshold": 0.7}})
     text = serialize_config(cfg)
-    again = parse_config(config_to_dict(parse_config(config_to_dict(cfg))))
+    again = parse_config(dataclasses.asdict(parse_config(dataclasses.asdict(cfg))))
     assert again == cfg
     assert serialize_config(again) == text
 

@@ -1,5 +1,6 @@
 """Pooling, AUROC, fold construction, gradient clipping, and the fine-tuning loop."""
 import dataclasses
+import json
 import threading
 import time
 import tracemalloc
@@ -14,19 +15,29 @@ from coughmae import vit, workers
 from coughmae.checkpoint import Checkpoint, load_checkpoint, load_into, save_checkpoint
 from coughmae.dsp import DatasetManifest, ManifestEntry, MelConfig, synth_dataset
 from coughmae.errors import CheckpointError, ConfigError, DataError, NumericsError, ShapeError
-from coughmae.finetune import (SCORE_BATCH, ClassifierHead, EvalReport, FinetuneConfig,
-                               FinetuneResult, auroc, classify, cross_validate,
-                               finetune_arrays, kfold_split, load_model, pool,
+from coughmae.finetune import (N_CLASSES, SCORE_BATCH, EvalReport, FinetuneConfig,
+                               FinetuneResult, Model, auroc, cross_validate,
+                               finetune_arrays, forward, kfold_split, load_model, pool,
                                prepare_finetune, score_samples)
 from coughmae.mae import prepare_patches
 from coughmae.optim import clip_grad_norm
 from coughmae.tensor import Parameter
-from coughmae.vit import EncoderParams, ModelConfig, TokenSequence
+from coughmae.vit import EncoderParams, LinearParams, ModelConfig, TokenSequence
 
 
 def feats(values: np.ndarray) -> TokenSequence:
     """Encoder output with CLS at slot 0 and patches after it."""
     return TokenSequence(tokens=T.Tensor(np.asarray(values, dtype=np.float64)))
+
+
+def new_head(dim: int, seed: int) -> LinearParams:
+    return LinearParams("head", dim, N_CLASSES, seed)
+
+
+def new_model(model_cfg: ModelConfig, seed: int, pooling: str = "cls") -> Model:
+    """A fresh raw-input classifier, encoder and head drawn from one seed."""
+    return Model(encoder=EncoderParams(model_cfg, seed), head=new_head(model_cfg.dim, seed),
+                 pooling=pooling, stats=None)
 
 
 # - Pooling -
@@ -85,13 +96,15 @@ def test_pool_gradient_flows():
 # - Classification head -
 
 
-def test_classify_probabilities():
-    head = ClassifierHead(dim=4, seed=0)
-    pooled = T.Tensor(np.random.default_rng(0).normal(size=(3, 4)))
-    probs = classify(pooled, head).data
-    assert probs.shape == (3, 2)
-    assert np.all(probs > 0)
-    assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+def test_forward_probabilities():
+    model_cfg = ModelConfig(dim=16, n_heads=2, n_blocks=1, patch_size=4, patch_stride=4)
+    patches = np.random.default_rng(0).normal(size=(3, 5, model_cfg.patch_values))
+    for pooling in ("cls", "mean"):
+        logits = forward(new_model(model_cfg, 0, pooling), patches)
+        assert logits.shape == (3, N_CLASSES)
+        probs = T.softmax(logits).data
+        assert np.all(probs > 0)
+        assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
 
 # - AUROC -
@@ -248,7 +261,7 @@ def test_clip_rejects_non_finite_gradient():
 
 
 def finetuned_checkpoint(cfg: ModelConfig, kind: str = "finetuned") -> Checkpoint:
-    params = EncoderParams(cfg, seed=5).parameters() + ClassifierHead(cfg.dim, seed=6).parameters()
+    params = EncoderParams(cfg, seed=5).parameters() + new_head(cfg.dim, seed=6).parameters()
     config = {"kind": kind, "finetune": {"pooling": "mean"},
               "mel": dataclasses.asdict(MelConfig()), "model": dataclasses.asdict(cfg)}
     return Checkpoint(config=config, stats={"mean": -3.0, "std": 2.0},
@@ -270,14 +283,13 @@ def test_checkpoint_loaders_draw_no_init_values(monkeypatch):
 def test_loaded_models_bit_identical_to_seeded_then_loaded():
     cfg = ModelConfig()
     ckpt = finetuned_checkpoint(cfg)
-    ref_encoder, ref_head = EncoderParams(cfg, seed=0), ClassifierHead(cfg.dim, seed=0)
-    load_into(ckpt.arrays, ref_encoder.parameters() + ref_head.parameters())
+    ref = new_model(cfg, seed=0).parameters()
+    load_into(ckpt.arrays, ref)
     model = load_model(ckpt, MelConfig(), cfg)
     assert model.pooling == "mean"
     assert (model.stats.mean, model.stats.std) == (-3.0, 2.0)
     assert load_model(finetuned_checkpoint(cfg, "pretrain"), MelConfig(), cfg).head is None
-    loaded = model.encoder.parameters() + model.head.parameters()
-    ref = ref_encoder.parameters() + ref_head.parameters()
+    loaded = model.parameters()
     assert [p.name for p in loaded] == [p.name for p in ref]
     for got, want in zip(loaded, ref):
         assert np.array_equal(got.data, want.data), got.name
@@ -347,14 +359,11 @@ def test_finetune_learns_separable_task(small_task):
     val_idx = np.arange(12, 16)
     cfg = FinetuneConfig(epochs=12, batch_size=2, encoder_lr=3e-3, head_lr=3e-2,
                          pooling="mean", warmup_frac=0.2)
-    enc = EncoderParams(model_cfg, seed=0)
-    result = finetune_arrays(enc, patches, labels, train_idx, val_idx,
-                             cfg, seed=0)
+    result = finetune_arrays(new_model(model_cfg, 0, cfg.pooling), patches, labels,
+                             train_idx, val_idx, cfg, seed=0)
     assert len(result.curve) == 12
-    assert result.best_auroc == max(result.curve)
-    assert result.curve[result.best_epoch] == result.best_auroc
     assert result.train_loss and np.all(np.isfinite(result.train_loss))
-    assert result.best_auroc >= 0.75   # synthetic classes are far apart
+    assert max(result.curve) >= 0.75   # synthetic classes are far apart
 
 
 def test_finetune_deterministic(small_task):
@@ -363,12 +372,11 @@ def test_finetune_deterministic(small_task):
     cfg = FinetuneConfig(epochs=2, batch_size=4)
     runs = []
     for _ in range(2):
-        enc = EncoderParams(model_cfg, seed=3)
-        r = finetune_arrays(enc, patches, labels, np.arange(12),
+        r = finetune_arrays(new_model(model_cfg, 3), patches, labels, np.arange(12),
                             np.arange(12, 16), cfg, seed=3)
         runs.append(r)
     assert runs[0].curve == runs[1].curve
-    for a, b in zip(runs[0].encoder.parameters(), runs[1].encoder.parameters()):
+    for a, b in zip(runs[0].model.parameters(), runs[1].model.parameters()):
         assert np.array_equal(a.data, b.data)
 
 
@@ -378,15 +386,14 @@ def test_finetune_without_validation_scores_nothing_and_keeps_bits(small_task, m
     cfg = FinetuneConfig(epochs=2, batch_size=4)
 
     def run(val_idx):
-        return finetune_arrays(EncoderParams(model_cfg, seed=3), patches, labels,
+        return finetune_arrays(new_model(model_cfg, 3), patches, labels,
                                np.arange(12), val_idx, cfg, seed=3)
 
     validated = run(np.arange(12, 16))
     monkeypatch.setattr(finetune_module, "score_samples", None)   # any call fails
     blind = run(None)
-    assert blind.curve == [] and blind.best_epoch == 1 and np.isnan(blind.best_auroc)
-    params = zip(validated.encoder.parameters() + validated.head.parameters(),
-                 blind.encoder.parameters() + blind.head.parameters())
+    assert blind.curve == []
+    params = zip(validated.model.parameters(), blind.model.parameters())
     assert all(a.data.tobytes() == b.data.tobytes() for a, b in params)
 
 
@@ -421,20 +428,21 @@ def test_score_samples_cls_bit_identical_to_full_sequence():
     byte: in chunks of 32 and 1, and for each sample scored alone (a batch
     of one carries a second row; with one row, 6 of these 16 differ)."""
     model_cfg = ModelConfig()     # the desk widths, where GEMV and GEMM rows differ
-    encoder, head = EncoderParams(model_cfg, seed=3), ClassifierHead(model_cfg.dim, seed=4)
+    encoder, head = EncoderParams(model_cfg, seed=3), new_head(model_cfg.dim, seed=4)
     head.w.data *= 100.0     # logits of order one, so a last-bit change in a feature shows
+    model = Model(encoder=encoder, head=head, pooling="cls", stats=None)
     patches = np.random.default_rng(0).normal(size=(SCORE_BATCH + 1, 48, 256))
 
     def full_sequence(chunk):
         with T.no_grad():
             full = vit.encode(vit.embed(chunk, encoder), encoder)
-            return classify(pool(full, "cls"), head).data[:, 1]
+            return T.softmax(T.linear(pool(full, "cls"), head.w, head.b)).data[:, 1]
 
     want = np.concatenate([full_sequence(patches[:SCORE_BATCH]),
                            full_sequence(patches[SCORE_BATCH:])])
-    assert score_samples(patches, encoder, head, "cls").tobytes() == want.tobytes()
+    assert score_samples(patches, model).tobytes() == want.tobytes()
     for i in range(16):
-        alone = score_samples(patches[i:i + 1], encoder, head, "cls")
+        alone = score_samples(patches[i:i + 1], model)
         assert alone.tobytes() == full_sequence(patches[i:i + 1]).tobytes(), i
 
 
@@ -446,11 +454,11 @@ def test_finetune_step_frees_its_tape(small_task):
     cfg = FinetuneConfig(epochs=1, batch_size=6)
 
     def traced_peak(steps: int) -> int:
-        encoder = EncoderParams(model_cfg, seed=0)
+        model = new_model(model_cfg, 0)
         train_idx = np.tile(np.arange(12), 2)[:steps * cfg.batch_size]
         tracemalloc.start()
         try:
-            finetune_arrays(encoder, patches, manifest.labels(), train_idx,
+            finetune_arrays(model, patches, manifest.labels(), train_idx,
                             np.arange(12, 16), cfg, seed=0)
             return tracemalloc.get_traced_memory()[1]
         finally:
@@ -473,10 +481,7 @@ def test_cross_validate_bit_identical_across_cpus(small_task, cpus, monkeypatch)
     for f, fold in enumerate(kfold_split(data.labels, cfg.k_folds, 5)):
         train_idx = np.setdiff1d(np.arange(len(data.labels)), fold)
         want.append(data.run(train_idx, np.array(fold), cfg, 5000 + f))
-    want_report = EvalReport(pooling=cfg.pooling, fold_auroc=[r.best_auroc for r in want],
-                             best_epochs=[r.best_epoch for r in want],
-                             curves=[r.curve for r in want],
-                             mean_auroc=float(np.mean([r.best_auroc for r in want])),
+    want_report = EvalReport(pooling=cfg.pooling, curves=[r.curve for r in want],
                              init_kind="scratch")
 
     heads, fold_threads, logged = {}, set(), []
@@ -484,7 +489,7 @@ def test_cross_validate_bit_identical_across_cpus(small_task, cpus, monkeypatch)
 
     def recording(*args, **kwargs):
         result = run_fold(*args, **kwargs)
-        heads[args[6]] = result.head.w.data.tobytes() + result.head.b.data.tobytes()
+        heads[args[6]] = result.model.head.w.data.tobytes() + result.model.head.b.data.tobytes()
         fold_threads.add(threading.current_thread())
         return result
 
@@ -492,7 +497,7 @@ def test_cross_validate_bit_identical_across_cpus(small_task, cpus, monkeypatch)
     report = cross_validate(data, cfg, seed=5,
                             log=lambda m: logged.append((threading.current_thread(), m)))
     assert report.to_json() == want_report.to_json()
-    assert heads == {5000 + f: r.head.w.data.tobytes() + r.head.b.data.tobytes()
+    assert heads == {5000 + f: r.model.head.w.data.tobytes() + r.model.head.b.data.tobytes()
                      for f, r in enumerate(want)}
     assert threading.current_thread() not in fold_threads
     assert {thread for thread, _ in logged} == {threading.current_thread()}
@@ -512,7 +517,7 @@ class _StubData:
 
 
 def _stub_result() -> FinetuneResult:
-    return FinetuneResult(encoder=None, head=None, curve=[0.5], best_epoch=0, best_auroc=0.5)
+    return FinetuneResult(model=None, curve=[0.5])
 
 
 def test_cross_validate_reports_earliest_failing_fold(cpus):
@@ -567,8 +572,31 @@ def test_cross_validate_restores_blas_threads(cpus):
         set_(original)
 
 
+def test_cross_validate_derives_fold_fields_from_curves(cpus):
+    """A fold's best epoch is the first maximum of its curve, even on a tie,
+    and fold_auroc the AUROC there; last_epoch_auroc is the curve's last
+    value. The JSON report carries both means and the per-fold lists."""
+    curves = [[0.5, 0.75, 0.75, 0.625], [0.875, 0.25, 0.875], [0.25, 0.25],
+              [0.125, 0.5], [0.375]]
+
+    def run(train_idx, val_idx, cfg, seed, **kwargs):
+        return FinetuneResult(model=None, curve=curves[seed])
+
+    report = cross_validate(_StubData(run), FinetuneConfig(k_folds=5), seed=0)
+    assert report.best_epochs == [1, 0, 0, 1, 0]
+    assert report.fold_auroc == [0.75, 0.875, 0.25, 0.5, 0.375]
+    assert report.last_epoch_auroc == [c[-1] for c in curves]
+    assert report.mean_auroc == 0.55
+    assert report.mean_last_epoch_auroc == 0.525
+    stored = json.loads(report.to_json())
+    assert stored == {"pooling": "cls", "init": "scratch", "curves": curves,
+                      "best_epochs": [1, 0, 0, 1, 0],
+                      "fold_auroc": [0.75, 0.875, 0.25, 0.5, 0.375], "mean_auroc": 0.55,
+                      "last_epoch_auroc": [0.625, 0.875, 0.25, 0.5, 0.375],
+                      "mean_last_epoch_auroc": 0.525}
+
+
 def test_eval_report_csv_mean_row():
-    report = EvalReport(pooling="cls", fold_auroc=[0.5, 1.0], best_epochs=[0, 1],
-                        curves=[[0.5], [1.0]], mean_auroc=0.75, init_kind="scratch")
+    report = EvalReport(pooling="cls", curves=[[0.5], [0.25, 1.0]], init_kind="scratch")
     lines = report.to_csv().strip().split("\n")
     assert lines[-1].startswith("mean,,0.75")

@@ -85,14 +85,14 @@ def init_draws(cfg: ModelConfig, monkeypatch) -> list[tuple[str, tuple]]:
         monkeypatch.setattr(module, "init_param", record)
     vit.EncoderParams(cfg, seed=0)
     mae.DecoderParams(cfg, seed=0)
-    finetune.ClassifierHead(cfg.dim, seed=0)
+    vit.LinearParams("head", cfg.dim, finetune.N_CLASSES, seed=0)
     return drawn
 
 
 def test_init_draws_cover_every_random_parameter(monkeypatch):
     cfg = ModelConfig()
     encoder, decoder = vit.EncoderParams(cfg, seed=0), mae.DecoderParams(cfg, seed=0)
-    head = finetune.ClassifierHead(cfg.dim, seed=0)
+    head = vit.LinearParams("head", cfg.dim, finetune.N_CLASSES, seed=0)
     names = [p.name for p in encoder.parameters() + decoder.parameters() + head.parameters()
              if p.name.endswith((".w", ".cls", ".mask_token"))]
     assert sorted(name for name, _ in init_draws(cfg, monkeypatch)) == sorted(names)

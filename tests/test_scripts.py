@@ -27,6 +27,8 @@ def test_run_ablation_writes_csv(tmp_path):
     cells = {(r["mask_ratio"], r["attention"], r["pooling"]) for r in rows}
     assert len(rows) == len(cells) == 8
     assert all(0.0 <= float(r["mean_auroc"]) <= 1.0 for r in rows)
+    # one epoch: the last epoch is the best, so both means agree
+    assert all(r["mean_last_epoch_auroc"] == r["mean_auroc"] for r in rows)
 
 
 def test_pretrain_vs_scratch_writes_csv(tmp_path):

@@ -8,14 +8,14 @@ from coughmae import workers
 from coughmae.dsp import (MelConfig, Waveform, load_wav, log_mel_spectrogram,
                           normalize, stats_from_values, synth_dataset)
 from coughmae.errors import DataError
-from coughmae.finetune import (FinetuneConfig, build_scorer, classify,
-                               finetune_arrays, pool)
+from coughmae.finetune import (N_CLASSES, FinetuneConfig, Model, build_scorer,
+                               finetune_arrays, score_samples)
 from coughmae.mae import prepare_patches
 from coughmae.segment import (SCORE_CHUNK, Event, F1Scores, SegmentationConfig,
                               event_f1, interval_iou, merge_intervals,
                               per_window, read_events_csv, sample_f1, slide,
                               write_events_csv)
-from coughmae.vit import EncoderParams, ModelConfig, embed, encode, patchify
+from coughmae.vit import EncoderParams, LinearParams, ModelConfig, patchify
 
 CFG = SegmentationConfig()          # window 0.4, step 0.01, threshold 0.5
 
@@ -231,21 +231,21 @@ def trained_scorer(tmp_path_factory):
     patches, _, _ = prepare_patches(manifest, mel_cfg, 38, model_cfg, stats=stats)
     cfg = FinetuneConfig(epochs=20, batch_size=4, encoder_lr=1e-3, head_lr=1e-2,
                          pooling="mean", warmup_frac=0.1)
-    result = finetune_arrays(EncoderParams(model_cfg, seed=0), patches,
-                             manifest.labels(), np.arange(18),
-                             np.arange(18, 24), cfg, seed=0)
-    enc, head = result.encoder, result.head
+    model = Model(encoder=EncoderParams(model_cfg, seed=0),
+                  head=LinearParams("head", model_cfg.dim, N_CLASSES, seed=0),
+                  pooling=cfg.pooling, stats=stats)
+    finetune_arrays(model, patches, manifest.labels(), np.arange(18), np.arange(18, 24),
+                    cfg, seed=0)
 
     def window_prob(window: Waveform) -> float:
         """The per-window path: one log-mel and one batch-1 forward per window."""
         spec = normalize(log_mel_spectrogram(window, mel_cfg), stats.mean, stats.std)
         patches, _ = patchify(spec.values[None], 16, 16)
-        feats = encode(embed(patches, enc), enc)
-        return float(classify(pool(feats, "mean"), head).data[0, 1])
+        return float(score_samples(patches, model)[0])
 
     clips = [load_wav(manifest.resolve(e)).samples for e in manifest.entries[:6]]
     recording = Waveform(np.concatenate(clips), mel_cfg.target_rate)
-    return build_scorer(enc, head, mel_cfg, "mean", stats), per_window(window_prob), recording
+    return build_scorer(model, mel_cfg), per_window(window_prob), recording
 
 
 @pytest.mark.parametrize("n_windows", [1, SCORE_CHUNK, SCORE_CHUNK + 1, 2 * SCORE_CHUNK,
