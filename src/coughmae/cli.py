@@ -19,13 +19,14 @@ import numpy as np
 
 from .checkpoint import load_checkpoint, save_model
 from .config import RunConfig, load_config, serialize_config
-from .dsp import load_manifest, load_wav, resample, dataset_stats, synth_dataset
+from .dsp import WavStream, load_manifest, dataset_stats, synth_dataset
 from .errors import AudioError, ConfigError, CoughMaeError, DataError
 from .finetune import (FinetuneData, build_scorer, cross_validate, load_model,
                        prepare_finetune)
 from .mae import pretrain
-from .segment import event_f1, read_events_csv, sample_f1, slide, write_events_csv
-from .workers import on_worker
+from .segment import (MALLOC_THRESHOLDS, event_f1, read_events_csv, sample_f1, slide,
+                      write_events_csv)
+from .workers import on_worker, pin_malloc_thresholds
 
 
 def _log(message: str) -> None:
@@ -91,19 +92,25 @@ def _train_final_model(cfg: RunConfig, data: FinetuneData, report, out_dir: Path
 
 
 def cmd_segment(args) -> int:
+    """Detect events in one recording, read in blocks (see segment.slide).
+
+    The WAV is read block by block through a dsp.WavStream, so memory does
+    not grow with the recording. glibc's malloc thresholds are pinned
+    (segment.MALLOC_THRESHOLDS) before scoring; the setting lasts for the
+    rest of the process. With --truth, sample F1 takes the duration from
+    the WAV header.
+    """
     cfg = _load_run_config(args)
     ckpt_path = args.checkpoint or cfg.paths.checkpoint
     if not ckpt_path:
         raise ConfigError("segment needs a fine-tuned checkpoint (--checkpoint or paths.checkpoint)")
-    # Referenced until the end: freed before slide(), its arrays leave glibc
-    # trimming and refaulting the heap on every chunk (2.2x the page faults).
-    ckpt = load_checkpoint(ckpt_path)
-    model = load_model(ckpt, cfg.mel, cfg.model)
+    model = load_model(load_checkpoint(ckpt_path), cfg.mel, cfg.model)
     if model.head is None:
         raise DataError("checkpoint has no classifier head; fine-tune first")
     scorer = build_scorer(model, cfg.mel)
-    wave = resample(load_wav(args.audio), cfg.mel.target_rate)
-    events = slide(wave, scorer, cfg.segment)
+    audio = WavStream(args.audio, cfg.mel.target_rate)
+    pin_malloc_thresholds(*MALLOC_THRESHOLDS)
+    events = slide(audio, scorer, cfg.segment)
     out_dir = Path(cfg.paths.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     events_path = out_dir / "events.csv"
@@ -112,7 +119,7 @@ def cmd_segment(args) -> int:
     if args.truth:
         truth = read_events_csv(args.truth)
         ev = event_f1(events, truth, cfg.segment)
-        sm = sample_f1(events, truth, wave.duration, cfg.segment)
+        sm = sample_f1(events, truth, audio.duration, cfg.segment)
         print(json.dumps({
             "event_f1": {"precision": ev.precision, "recall": ev.recall, "f1": ev.f1},
             "sample_f1": {"precision": sm.precision, "recall": sm.recall, "f1": sm.f1},

@@ -144,43 +144,66 @@ def _decode_pcm(raw: bytearray, tag: int, channels: int, block_align: int,
     return data.reshape(-1, channels) if channels > 1 else data
 
 
-def _read_wav(path) -> tuple[int, np.ndarray]:
-    """(rate, samples) of a RIFF/WAVE file, shaped (n,) or (n, channels).
+def _walk_wav(fh, path) -> tuple[tuple[int, int, int, int, int], int]:
+    """The fmt fields and the data chunk size of an open RIFF/WAVE file,
+    leaving fh at the first data byte.
 
     Chunks before `data` other than `fmt ` are skipped, odd-sized ones
     with their pad byte; nothing after `data` is read. A chunk that claims
     more bytes than the file holds is an error before anything is allocated.
     """
+    file_size = os.fstat(fh.fileno()).st_size
+    head = fh.read(12)
+    if len(head) < 12 or head[:4] != b"RIFF" or head[8:12] != b"WAVE":
+        raise AudioError(f"not a RIFF/WAVE file: {path}")
+    fmt = None
+    while True:
+        chunk = fh.read(8)
+        if len(chunk) < 8:
+            raise AudioError(f"no data chunk in {path}")
+        chunk_id, size = chunk[:4], struct.unpack("<I", chunk[4:])[0]
+        if chunk_id in (b"fmt ", b"data") and size > file_size - fh.tell():
+            raise AudioError(f"truncated {chunk_id.decode().strip()} chunk in {path}: "
+                             f"{size} bytes declared, {file_size - fh.tell()} present")
+        if chunk_id == b"fmt ":
+            fmt = _parse_fmt(fh.read(size), path)
+        elif chunk_id == b"data":
+            if fmt is None:
+                raise AudioError(f"data chunk before fmt chunk in {path}")
+            return fmt, size
+        else:
+            fh.seek(size, 1)
+        if size & 1:
+            fh.seek(1, 1)
+
+
+def _read_wav(path) -> tuple[int, np.ndarray]:
+    """(rate, samples) of a RIFF/WAVE file, shaped (n,) or (n, channels)."""
     try:
         with open(path, "rb") as fh:
-            file_size = os.fstat(fh.fileno()).st_size
-            head = fh.read(12)
-            if len(head) < 12 or head[:4] != b"RIFF" or head[8:12] != b"WAVE":
-                raise AudioError(f"not a RIFF/WAVE file: {path}")
-            fmt = None
-            while True:
-                chunk = fh.read(8)
-                if len(chunk) < 8:
-                    raise AudioError(f"no data chunk in {path}")
-                chunk_id, size = chunk[:4], struct.unpack("<I", chunk[4:])[0]
-                if chunk_id in (b"fmt ", b"data") and size > file_size - fh.tell():
-                    raise AudioError(f"truncated {chunk_id.decode().strip()} chunk in {path}: "
-                                     f"{size} bytes declared, {file_size - fh.tell()} present")
-                if chunk_id == b"fmt ":
-                    fmt = _parse_fmt(fh.read(size), path)
-                elif chunk_id == b"data":
-                    if fmt is None:
-                        raise AudioError(f"data chunk before fmt chunk in {path}")
-                    raw = bytearray(size)
-                    fh.readinto(raw)
-                    rate, *layout = fmt
-                    return rate, _decode_pcm(raw, *layout, path)
-                else:
-                    fh.seek(size, 1)
-                if size & 1:
-                    fh.seek(1, 1)
+            (rate, *layout), size = _walk_wav(fh, path)
+            raw = bytearray(size)
+            fh.readinto(raw)
     except OSError as exc:
         raise AudioError(f"cannot read audio file: {path}: {exc.strerror or exc}") from None
+    return rate, _decode_pcm(raw, *layout, path)
+
+
+def _to_mono(data: np.ndarray, path) -> np.ndarray:
+    """Float64 mono samples from decoded WAV samples, as load_wav defines them.
+
+    Every output sample depends only on its own frame, so a block of frames
+    converts to the same bits as the whole file does.
+    """
+    if data.dtype in _INT_SCALE:
+        samples = data.astype(np.float64) / _INT_SCALE[data.dtype]
+    elif data.dtype == np.uint8:
+        samples = (data.astype(np.float64) - 128.0) / 128.0
+    else:
+        if not np.isfinite(data).all():
+            raise AudioError(f"non-finite samples in {path}")
+        samples = np.clip(data.astype(np.float64), -1.0, 1.0)
+    return samples.mean(axis=1) if samples.ndim == 2 else samples
 
 
 def load_wav(path) -> Waveform:
@@ -196,17 +219,97 @@ def load_wav(path) -> Waveform:
     rate, data = _read_wav(path)
     if data.size == 0:
         raise AudioError(f"zero-length audio: {path}")
-    if data.dtype in _INT_SCALE:
-        samples = data.astype(np.float64) / _INT_SCALE[data.dtype]
-    elif data.dtype == np.uint8:
-        samples = (data.astype(np.float64) - 128.0) / 128.0
-    else:
-        if not np.isfinite(data).all():
-            raise AudioError(f"non-finite samples in {path}")
-        samples = np.clip(data.astype(np.float64), -1.0, 1.0)
-    if samples.ndim == 2:
-        samples = samples.mean(axis=1)
-    return Waveform(samples=samples, sample_rate=int(rate))
+    return Waveform(samples=_to_mono(data, path), sample_rate=int(rate))
+
+
+class WavStream:
+    """A WAV file's audio at a target rate, decoded one block at a time.
+
+    `read(lo, hi)` returns samples lo..hi-1 of resample(load_wav(path),
+    target_rate), bit for bit, while only the frames that block needs are
+    read and decoded. Every format load_wav reads streams. The header is
+    walked once, here: a malformed or truncated header, an unsupported
+    format or an empty data chunk is an AudioError naming the file before
+    any audio is read. A NaN or infinite float sample is an AudioError
+    from the `read` whose block holds it.
+
+    At another source rate, the resampled output is computed in pieces
+    that start on whole `resample` groups (_RESAMPLE_ROWS rows per phase),
+    so each piece takes the same matrix products as the whole-file call.
+    Pieces are kept until a read starts past their end, so ascending,
+    overlapping reads compute each piece once.
+    """
+
+    def __init__(self, path, target_rate: int):
+        if target_rate <= 0:
+            raise AudioError(f"bad target rate {target_rate}")
+        try:
+            with open(path, "rb") as fh:
+                (rate, *layout), size = _walk_wav(fh, path)
+                self._data_start = fh.tell()
+        except OSError as exc:
+            raise AudioError(f"cannot read audio file: {path}: {exc.strerror or exc}") from None
+        _decode_pcm(bytearray(), *layout, path)        # an unsupported format fails here
+        self.path = path
+        self.sample_rate = target_rate
+        self._layout = layout
+        self._frames = size // layout[2]
+        if self._frames == 0:
+            raise AudioError(f"zero-length audio: {path}")
+        self._polyphase = None if rate == target_rate else _polyphase(rate, target_rate)
+        self.n_samples = (self._frames if self._polyphase is None
+                          else int(round(self._frames * target_rate / rate)))
+        self._pieces: dict[int, np.ndarray] = {}
+
+    @property
+    def duration(self) -> float:
+        return self.n_samples / self.sample_rate
+
+    def _source(self, lo: int, hi: int) -> np.ndarray:
+        """Mono float64 source frames lo..hi-1, converted as load_wav does."""
+        align = self._layout[2]
+        raw = bytearray((hi - lo) * align)
+        try:
+            with open(self.path, "rb") as fh:
+                fh.seek(self._data_start + lo * align)
+                got = fh.readinto(raw)
+        except OSError as exc:
+            raise AudioError(f"cannot read audio file: {self.path}: "
+                             f"{exc.strerror or exc}") from None
+        if got != len(raw):
+            raise AudioError(f"audio file shrank while being read: {self.path}")
+        return _to_mono(_decode_pcm(raw, *self._layout, self.path), self.path)
+
+    def _piece(self, k: int) -> np.ndarray:
+        """Resampled outputs k * span .. (k + 1) * span - 1 (fewer at the end)."""
+        up, down, half, bank = self._polyphase
+        taps = bank.shape[1]
+        span = _piece_span(up)
+        o0, o1 = k * span, min((k + 1) * span, self.n_samples)
+        # Padded index j holds source frame j - (taps - 1), zero outside the file.
+        lo = (half + o0 * down) // up
+        hi = (half + (o1 - 1) * down) // up + taps
+        padded = np.zeros(hi - lo)
+        a, b = max(lo - taps + 1, 0), min(hi - taps + 1, self._frames)
+        if a < b:
+            padded[a + taps - 1 - lo:b + taps - 1 - lo] = self._source(a, b)
+        out = np.empty(o1 - o0)
+        _resample_into(out, padded, lo, o0, up, down, half, bank)
+        return out
+
+    def read(self, lo: int, hi: int) -> np.ndarray:
+        """Samples lo..hi-1 at the target rate, 0 <= lo < hi <= n_samples."""
+        if self._polyphase is None:
+            return self._source(lo, hi)
+        span = _piece_span(self._polyphase[0])
+        self._pieces = {k: v for k, v in self._pieces.items() if (k + 1) * span > lo}
+        out = np.empty(hi - lo)
+        for k in range(lo // span, (hi - 1) // span + 1):
+            if k not in self._pieces:
+                self._pieces[k] = self._piece(k)
+            a, b = max(lo, k * span), min(hi, (k + 1) * span)
+            out[a - lo:b - lo] = self._pieces[k][a - k * span:b - k * span]
+        return out
 
 
 def save_wav(path, wave: Waveform) -> None:
@@ -228,8 +331,14 @@ def save_wav(path, wave: Waveform) -> None:
 
 # - Resampling -
 
-# Output rows computed per matrix product, bounding the window copy it may make.
-_RESAMPLE_BLOCK = 4096
+# Rows per matrix product in resample: each phase computes its outputs in
+# groups of this many rows, split at phase-row multiples of it. Where numpy
+# hands the rows to BLAS (down >= taps, as at 44.1 and 22.05 kHz) a row's
+# bits depend on its group, so a streamed resample splits the same way.
+# At 512 a 44.1 kHz group spans 81,920 outputs (5.1 s at 16 kHz).
+_RESAMPLE_ROWS = 512
+# Resampled outputs a WavStream computes at once: a whole number of groups.
+_STREAM_PIECE = 1 << 16
 
 
 def _resample_kernel(up: int, down: int) -> np.ndarray:
@@ -248,6 +357,47 @@ def _resample_kernel(up: int, down: int) -> np.ndarray:
     return kernel
 
 
+def _polyphase(source_rate: int, target_rate: int) -> tuple[int, int, int, np.ndarray]:
+    """(up, down, kernel half-length, phase bank) for a rate change.
+
+    Phase p's row of the (up, taps) bank holds taps kernel[p], kernel[p + up],
+    ..., reversed, so a forward window of the input lines up with them.
+    """
+    g = math.gcd(source_rate, target_rate)
+    up, down = target_rate // g, source_rate // g
+    kernel = _resample_kernel(up, down)
+    taps = -(-len(kernel) // up)
+    bank = np.zeros(taps * up)
+    bank[:len(kernel)] = kernel
+    bank = np.ascontiguousarray(bank.reshape(taps, up).T[:, ::-1])
+    return up, down, (len(kernel) - 1) // 2, bank
+
+
+def _piece_span(up: int) -> int:
+    """Outputs per WavStream piece: whole groups of _RESAMPLE_ROWS rows per phase."""
+    group = _RESAMPLE_ROWS * up
+    return group * max(1, _STREAM_PIECE // group)
+
+
+def _resample_into(out: np.ndarray, padded: np.ndarray, base: int, o0: int,
+                   up: int, down: int, half: int, bank: np.ndarray) -> None:
+    """Write resampled outputs o0 .. o0 + len(out) - 1 into out.
+
+    o0 is a multiple of _RESAMPLE_ROWS * up. padded[j - base] holds padded
+    input j, which is input sample j - (taps - 1), zero outside the input.
+    Output i sits at upsampled time t = half + i * down: phase t % up, and
+    its window starts at padded index t // up.
+    """
+    windows = np.lib.stride_tricks.sliding_window_view(padded, bank.shape[1])
+    n = len(out)
+    for r in range(min(up, n)):
+        t0 = half + (o0 + r) * down
+        rows = windows[t0 // up - base::down][:len(range(r, n, up))]
+        dest = out[r::up]
+        for b in range(0, len(rows), _RESAMPLE_ROWS):
+            dest[b:b + _RESAMPLE_ROWS] = rows[b:b + _RESAMPLE_ROWS] @ bank[t0 % up]
+
+
 def resample(wave: Waveform, target_rate: int) -> Waveform:
     """Polyphase windowed-sinc resampling to target_rate.
 
@@ -263,31 +413,15 @@ def resample(wave: Waveform, target_rate: int) -> Waveform:
     src = wave.sample_rate
     if src == target_rate:
         return wave
-    g = math.gcd(src, target_rate)
-    up, down = target_rate // g, src // g
-    kernel = _resample_kernel(up, down)
-    half = (len(kernel) - 1) // 2
+    up, down, half, bank = _polyphase(src, target_rate)
+    taps = bank.shape[1]
     n_in = len(wave.samples)
     n_out = int(round(n_in * target_rate / src))
-    # Phase p holds taps kernel[p], kernel[p + up], ...; reversed, so a
-    # forward window of the input lines up with them.
-    taps = -(-len(kernel) // up)
-    bank = np.zeros(taps * up)
-    bank[:len(kernel)] = kernel
-    bank = np.ascontiguousarray(bank.reshape(taps, up).T[:, ::-1])
-    # Output i sits at upsampled time t = half + i * down: phase t % up, and
-    # its window ends at input t // up, i.e. starts at padded index t // up.
     last = (half + max(n_out - 1, 0) * down) // up
     padded = np.zeros(taps - 1 + max(n_in, last + 1))
     padded[taps - 1:taps - 1 + n_in] = wave.samples
-    windows = np.lib.stride_tricks.sliding_window_view(padded, taps)
     out = np.empty(n_out)
-    for i0 in range(min(up, n_out)):
-        t0 = half + i0 * down
-        rows = windows[t0 // up::down][:len(range(i0, n_out, up))]
-        dest = out[i0::up]
-        for b in range(0, len(rows), _RESAMPLE_BLOCK):
-            dest[b:b + _RESAMPLE_BLOCK] = rows[b:b + _RESAMPLE_BLOCK] @ bank[t0 % up]
+    _resample_into(out, padded, 0, 0, up, down, half, bank)
     return Waveform(samples=out, sample_rate=target_rate)
 
 
@@ -577,23 +711,3 @@ def synth_dataset(out_dir, n_samples: int, seed: int,
     manifest = DatasetManifest(entries=entries, root=out_dir)
     save_manifest(manifest, out_dir / "manifest.csv")
     return manifest
-
-
-def band_energy_ratios(manifest: DatasetManifest, mel_cfg: MelConfig,
-                       spec: SynthSpec) -> dict[int, float]:
-    """Per-class mean of (high-band minus low-band) mean log energy.
-
-    This is the declared spectral property separating the synthetic classes;
-    tests check the gap against spec.declared_margin.
-    """
-    centers = mel_filter_centers(mel_cfg)
-    low_bins = (centers >= spec.low_band[0]) & (centers <= spec.low_band[1])
-    high_bins = (centers >= spec.high_band[0]) & (centers <= spec.high_band[1])
-    if not low_bins.any() or not high_bins.any():
-        raise DataError("mel bank does not cover the declared bands")
-    ratios: dict[int, list[float]] = {}
-    for entry in manifest.entries:
-        mel = spectrogram_for_file(manifest.resolve(entry), mel_cfg)
-        value = float(mel.values[:, high_bins].mean() - mel.values[:, low_bins].mean())
-        ratios.setdefault(entry.label, []).append(value)
-    return {label: float(np.mean(vals)) for label, vals in ratios.items()}

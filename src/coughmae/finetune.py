@@ -116,7 +116,11 @@ def forward(model: Model, patches: np.ndarray) -> Tensor:
     segmentation. Under CLS pooling the encoder runs its last block for the
     CLS rows only (vit.encode's cls_only).
     """
-    seq = embed(patches, model.encoder)
+    return forward_tokens(model, embed(patches, model.encoder))
+
+
+def forward_tokens(model: Model, seq: TokenSequence) -> Tensor:
+    """forward after embed: the logits of an embedded token sequence."""
     feats = encode(seq, model.encoder, cls_only=model.pooling == "cls")
     return T.linear(pool(feats, model.pooling), model.head.w, model.head.b)
 
@@ -312,7 +316,9 @@ def build_scorer(model: Model, mel_cfg: MelConfig):
     first, one log-mel of the span the windows cover is cut into the
     windows' rows: frames are fully contained (no centre padding), so those
     rows are each window's own log-mel. Otherwise each window gets its own
-    log-mel. The windows' patches then go to score_samples.
+    log-mel. The windows then run as one tape-free batch through forward,
+    with the same bits as score_samples gives a chunk of up to SCORE_BATCH
+    windows, but with the patches freed once embedded.
     """
     hop = mel_cfg.frame_hop_samples
 
@@ -335,9 +341,12 @@ def build_scorer(model: Model, mel_cfg: MelConfig):
         return patches
 
     def scorer(wave: Waveform, offsets, win: int) -> np.ndarray:
-        # Only the patches outlive window_patches: its spectrograms are freed
-        # before the encoder runs.
-        return score_samples(window_patches(wave, np.asarray(offsets, dtype=np.intp), win), model)
+        # One forward, split so that nothing holds the spectrograms or the
+        # patches once they are embedded: they are freed before the encoder runs.
+        with T.no_grad():
+            seq = embed(window_patches(wave, np.asarray(offsets, dtype=np.intp), win),
+                        model.encoder)
+            return T.softmax(forward_tokens(model, seq)).data[:, 1]
 
     return scorer
 

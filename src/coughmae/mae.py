@@ -277,6 +277,7 @@ def pretrain(manifest: DatasetManifest, mel_cfg: MelConfig, model_cfg: ModelConf
     patches, grid_shape, raw_values = prepare_patches(manifest, mel_cfg,
                                                       cfg.target_frames, model_cfg)
     stats = stats_from_values(raw_values)
+    del raw_values                     # freed before training, which sets the peak
     encoder, decoder = EncoderParams(model_cfg, seed), DecoderParams(model_cfg, seed)
     n_patches = patches.shape[1]
     if int(np.floor(cfg.mask_ratio * n_patches + 0.5)) == 0:

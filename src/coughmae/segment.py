@@ -1,11 +1,12 @@
 """Sliding-window cough segmentation and event scoring.
 
 A scorer is any callable (wave, offsets, win) -> one positive-class
-probability per window wave.samples[o:o + win]; per_window() builds one from
-a Waveform -> probability callable. slide() runs it over fixed-length
-windows advanced by a fixed step (both measured in whole samples, so
-delaying audio by k steps shifts detections by exactly k steps), then merges
-overlapping or touching positive windows into events.
+probability per window wave.samples[o:o + win]. slide() runs it over
+fixed-length windows advanced by a fixed step (both measured in whole
+samples, so delaying audio by k steps shifts detections by exactly k
+steps), then merges overlapping or touching positive windows into events.
+It takes a Waveform in memory or a dsp.WavStream, which it reads in blocks,
+so a recording's length does not set the memory segmentation needs.
 
 Scoring offers two views: event-based F1 with greedy IoU matching, and
 sample-based F1 over fixed-width time bins.
@@ -20,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dsp import Waveform
+from .dsp import Waveform, WavStream
 from .errors import DataError
 from .workers import in_order, worker_count
 
@@ -31,6 +32,17 @@ _OVERLAP_TOL = 1e-12
 # one worker of 32 had glibc trim and refault its heap after every chunk
 # (about 233,000 minor faults per 60 s recording, against 3,100 at 16).
 SCORE_CHUNK = 16
+
+# SCORE_CHUNK chunks per block that slide() reads from a WavStream. A block
+# of 16 kHz audio at the default window and step is 1.7 s, 26,720 samples.
+BLOCK_CHUNKS = 8
+
+# glibc (mmap, trim) thresholds, bytes, that `coughmae segment` pins before
+# scoring (workers.pin_malloc_thresholds). Each chunk's arrays, about 0.5 MB,
+# then stay in the heap. A streamed run on a 60 s recording frees no large
+# block that would lift glibc's own threshold above them, and took 199k-291k
+# minor faults without the pin against about 9.6k with it (2-core box).
+MALLOC_THRESHOLDS = (4 << 20, 8 << 20)
 
 Scorer = Callable[[Waveform, np.ndarray, int], np.ndarray]
 
@@ -68,68 +80,81 @@ class SegmentationConfig:
             raise DataError("threshold in [0,1] and overlap_iou in (0,1] required")
 
 
+def _extend(merged: list[list[float]], lo: float, hi: float) -> None:
+    """Add [lo, hi] to merged intervals none of which starts after lo."""
+    if merged and lo <= merged[-1][1] + _OVERLAP_TOL:
+        merged[-1][1] = max(merged[-1][1], hi)
+    else:
+        merged.append([lo, hi])
+
+
 def merge_intervals(intervals: list[tuple[float, float]]) -> list[tuple[float, float]]:
     """Union of intervals: overlapping or touching spans collapse into one."""
-    if not intervals:
-        return []
-    ordered = sorted(intervals)
-    merged = [list(ordered[0])]
-    for lo, hi in ordered[1:]:
-        if lo <= merged[-1][1] + _OVERLAP_TOL:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
+    merged: list[list[float]] = []
+    for lo, hi in sorted(intervals):
+        _extend(merged, lo, hi)
     return [(lo, hi) for lo, hi in merged]
 
 
-def per_window(fn: Callable[[Waveform], float]) -> Scorer:
-    """Adapt a one-window scorer (Waveform -> probability) to slide()."""
-
-    def scorer(wave: Waveform, offsets, win: int) -> np.ndarray:
-        return np.array([float(fn(Waveform(samples=wave.samples[o:o + win],
-                                           sample_rate=wave.sample_rate)))
-                         for o in offsets])
-
-    return scorer
-
-
-def slide(wave: Waveform, scorer: Scorer, cfg: SegmentationConfig) -> list[Event]:
+def slide(audio: Waveform | WavStream, scorer: Scorer, cfg: SegmentationConfig) -> list[Event]:
     """Score every full window and merge positive ones into events.
 
     Window offsets are whole multiples of the step in samples. Each scorer
-    call gets consecutive ascending offsets, SCORE_CHUNK at most. The scorer
-    runs in W = workers.worker_count() worker threads, never in the caller's
-    thread, and with W > 1 its calls overlap, so it must be thread-safe and
-    must not rely on the caller's per-thread state (such as tensor.no_grad).
-    OpenBLAS is held to one thread while slide runs, and its count is
-    restored when slide returns or raises. Every window is scored exactly
-    once, and results are consumed in offset order, so a bad probability is
-    reported at the earliest offset. Each event spans from the first
-    positive window's start to the last positive window's end. Audio
-    shorter than one window yields no events.
+    call gets consecutive ascending offsets, SCORE_CHUNK at most, and only
+    the recording's last chunk may hold fewer. A Waveform goes to the scorer
+    whole, with absolute offsets. A WavStream is read in blocks of
+    BLOCK_CHUNKS chunks plus the window - step samples the next block's
+    first window shares, and the scorer gets each block as a Waveform with
+    offsets relative to the block's start: the same samples, so the same
+    probabilities. At most a few blocks are in memory at once.
+
+    The scorer runs in W = workers.worker_count() worker threads, never in
+    the caller's thread, and with W > 1 its calls overlap, so it must be
+    thread-safe and must not rely on the caller's per-thread state (such as
+    tensor.no_grad). OpenBLAS is held to one thread while slide runs, and
+    its count is restored when slide returns or raises. Every window is
+    scored exactly once, and results are consumed in offset order, so a bad
+    probability is reported at the earliest offset, as an absolute sample
+    offset. Positive windows are merged as they arrive, so slide holds the
+    events, not the windows. Each event spans from the first positive
+    window's start to the last positive window's end. Audio shorter than
+    one window yields no events.
     """
-    rate = wave.sample_rate
+    rate = audio.sample_rate
     win = int(round(cfg.window * rate))
     step = int(round(cfg.step * rate))
     if step <= 0 or win <= 0:
         raise DataError(f"window/step too small for rate {rate}")
-    starts = range(0, len(wave.samples) - win + 1, step)
-    chunks = (np.asarray(starts[lo:lo + SCORE_CHUNK], dtype=np.intp)
-              for lo in range(0, len(starts), SCORE_CHUNK))
-    positives: list[tuple[float, float]] = []
-    with in_order(lambda offsets: scorer(wave, offsets, win), chunks,
+    whole = isinstance(audio, Waveform)
+    n_samples = len(audio.samples) if whole else audio.n_samples
+    n_windows = max(0, (n_samples - win) // step + 1)
+    per_block = max(n_windows, 1) if whole else BLOCK_CHUNKS * SCORE_CHUNK
+
+    def chunks():
+        """(block's first sample, block, block-relative offsets) per scorer call."""
+        for w0 in range(0, n_windows, per_block):
+            w1 = min(w0 + per_block, n_windows)
+            base = 0 if whole else w0 * step
+            block = audio if whole else Waveform(audio.read(base, (w1 - 1) * step + win), rate)
+            for c in range(w0, w1, SCORE_CHUNK):
+                offsets = np.arange(c, min(c + SCORE_CHUNK, w1), dtype=np.intp) * step
+                yield base, block, offsets - base
+
+    merged: list[list[float]] = []
+    with in_order(lambda item: scorer(item[1], item[2], win), chunks(),
                   worker_count()) as scored:
-        for offsets, probs in scored:
+        for (base, _, offsets), probs in scored:
             probs = np.asarray(probs, dtype=np.float64)
             if probs.shape != offsets.shape:
                 raise DataError(f"scorer returned {probs.shape} probabilities "
                                 f"for {len(offsets)} windows")
             bad = np.flatnonzero(~np.isfinite(probs))
             if bad.size:
-                raise DataError(f"scorer returned non-finite probability at offset {offsets[bad[0]]}")
-            for offset in offsets[probs >= cfg.threshold].tolist():
-                positives.append((offset / rate, (offset + win) / rate))
-    return [Event(start=lo, end=hi) for lo, hi in merge_intervals(positives)]
+                raise DataError(f"scorer returned non-finite probability at offset "
+                                f"{base + offsets[bad[0]]}")
+            for offset in (base + offsets[probs >= cfg.threshold]).tolist():
+                _extend(merged, offset / rate, (offset + win) / rate)
+    return [Event(start=lo, end=hi) for lo, hi in merged]
 
 
 # - Scoring -

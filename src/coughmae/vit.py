@@ -67,11 +67,6 @@ def patch_grid(width: int, height: int, side: int, stride: int) -> tuple[int, in
     return ((width - side + stride) // stride, (height - side + stride) // stride)
 
 
-def patch_count(width: int, height: int, side: int, stride: int) -> int:
-    rows, cols = patch_grid(width, height, side, stride)
-    return rows * cols
-
-
 def patchify(values: np.ndarray, side: int = 16,
              stride: int = 16) -> tuple[np.ndarray, tuple[int, int]]:
     """Cut spectrograms into side x side patches, raster order, row-major cells.

@@ -26,6 +26,7 @@ import contextlib
 import ctypes
 import functools
 import os
+import platform
 import threading
 from typing import Callable, Iterable, Iterator
 
@@ -47,6 +48,11 @@ _OPENBLAS_THREADS = (
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
     ("openblas_get_num_threads", "openblas_set_num_threads"),
 )
+
+
+# mallopt parameter numbers from glibc's malloc.h.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
 
 
 def _usable_cpus() -> int:
@@ -86,6 +92,34 @@ def openblas_threads():
             set_.argtypes, set_.restype = (ctypes.c_int,), None
             return get, set_
     return None                    # numpy built on another BLAS (MKL, Accelerate)
+
+
+@functools.cache
+def _mallopt():
+    """glibc's mallopt, or None under another C library."""
+    if platform.libc_ver()[0] != "glibc":
+        return None
+    try:
+        fn = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError):
+        return None
+    fn.argtypes, fn.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return fn
+
+
+def pin_malloc_thresholds(mmap_bytes: int, trim_bytes: int) -> None:
+    """Fix glibc's mmap and trim thresholds for the rest of the process.
+
+    Left alone, glibc raises its mmap threshold to the size of the largest
+    mmapped block freed so far, so whether short-lived arrays below that
+    size go through mmap, and fault their pages in anew each time, depends
+    on what the process happened to free before. Fixed thresholds end that
+    dependence. Under another C library this is a no-op.
+    """
+    mallopt = _mallopt()
+    if mallopt is not None:
+        mallopt(_M_MMAP_THRESHOLD, mmap_bytes)
+        mallopt(_M_TRIM_THRESHOLD, trim_bytes)
 
 
 @contextlib.contextmanager

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import coughmae.tensor as T
+from coughmae.dsp import Waveform
 
 settings.register_profile(
     "suite",
@@ -47,3 +48,14 @@ def record_softmax(monkeypatch):
         return outputs
 
     return start
+
+
+def per_window(fn):
+    """Adapt a one-window scorer (Waveform -> probability) to segment.slide."""
+
+    def scorer(wave: Waveform, offsets, win: int) -> np.ndarray:
+        return np.array([float(fn(Waveform(samples=wave.samples[o:o + win],
+                                           sample_rate=wave.sample_rate)))
+                         for o in offsets])
+
+    return scorer

@@ -25,11 +25,11 @@ from coughmae.mae import (DecoderParams, PretrainConfig, decode, masked_mse,
                           patch_norm_targets, prepare_patches, pretrain,
                           restore_with_mask_tokens, sample_mask, window_map_for_grid)
 from coughmae.rng import seeded_rng
-from coughmae.segment import (Event, F1Scores, SegmentationConfig, event_f1,
-                              per_window, sample_f1, slide)
+from coughmae.segment import Event, F1Scores, SegmentationConfig, event_f1, sample_f1, slide
 from coughmae.tensor import Tensor
 from coughmae.vit import (EncoderParams, LinearParams, ModelConfig, TokenSequence, embed,
                           encode, patch_grid)
+from conftest import per_window
 
 
 def report(n: int, ok: bool, detail: str = "") -> bool:

@@ -270,6 +270,52 @@ def test_segment_with_truth_scores(finetuned_model, corpus, capsys, tmp_path):
         assert 0.0 <= block["f1"] <= 1.0
 
 
+def test_segment_non_finite_late_block_exit_2(finetuned_model, capsys, tmp_path):
+    """A NaN that only a late block holds still exits 2 naming the file, and
+    no events.csv is written."""
+    from scipy.io import wavfile
+    samples = np.zeros(5 * 16000, dtype=np.float32)
+    samples[-2000] = np.nan
+    wav = tmp_path / "late_nan.wav"
+    wavfile.write(str(wav), 16000, samples)
+    cfg = write_config(tmp_path / "seg.json", model=SMALL_MODEL,
+                       paths={"output_dir": str(tmp_path / "seg_out")})
+    code, out, err = run_cli(capsys, "segment", "--config", str(cfg), "--audio", str(wav),
+                             "--checkpoint", str(finetuned_model / "model.bin"))
+    assert code == 2
+    assert "late_nan.wav" in err and out == ""
+    assert not (tmp_path / "seg_out" / "events.csv").exists()
+
+
+def test_segment_memory_does_not_grow_with_recording(finetuned_model, tmp_path):
+    """Peak RSS of `coughmae segment` on a 10-minute recording is within 10%
+    of a 60 s one: the WAV is read in blocks and only events are kept."""
+    if not Path("/proc/self/status").exists():
+        pytest.skip("VmHWM needs /proc")
+    from coughmae.dsp import Waveform, save_wav
+    rng = np.random.default_rng(9)
+    cfg = write_config(tmp_path / "seg.json", model=SMALL_MODEL, segment={"step": 0.1},
+                       paths={"output_dir": str(tmp_path / "seg_out")})
+    src = str(Path(coughmae.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    probe = ("import sys, coughmae.cli; rc = coughmae.cli.main(sys.argv[1:]); "
+             "hwm = [l for l in open('/proc/self/status') if l.startswith('VmHWM:')]; "
+             "print(rc, hwm[0].split()[1])")
+    peaks = {}
+    for seconds in (60, 600):
+        wav = tmp_path / f"rec{seconds}.wav"
+        save_wav(wav, Waveform(rng.normal(0.0, 0.05, seconds * 16000), 16000))
+        result = subprocess.run(
+            [sys.executable, "-c", probe, "segment", "--config", str(cfg), "--audio", str(wav),
+             "--checkpoint", str(finetuned_model / "model.bin")],
+            env=env, capture_output=True, text=True, timeout=600, check=True)
+        rc, kb = result.stdout.split()[-2:]
+        assert rc == "0"
+        peaks[seconds] = int(kb)
+    assert peaks[600] <= 1.1 * peaks[60], peaks
+
+
 def test_segment_pretrain_checkpoint_rejected(corpus, capsys, tmp_path):
     cfg = pretrain_config(tmp_path, corpus, "pre")
     assert main(["pretrain", "--config", str(cfg)]) == 0

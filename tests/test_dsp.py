@@ -9,16 +9,36 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from coughmae.dsp import (DatasetManifest, ManifestEntry, MelConfig,
-                          MelSpectrogram, SynthSpec, Waveform, _read_wav,
-                          _resample_kernel, band_energy_ratios, dataset_stats,
+                          MelSpectrogram, SynthSpec, Waveform, WavStream, _read_wav,
+                          _piece_span, _resample_kernel, dataset_stats,
                           fit_length, frame_count, load_manifest,
                           load_wav, log_mel_spectrogram, mel_filter_centers,
                           mel_filterbank, mel_inverse, mel_scale, normalize,
-                          resample, save_manifest, save_wav, stats_from_values,
-                          synth_dataset)
+                          resample, save_manifest, save_wav, spectrogram_for_file,
+                          stats_from_values, synth_dataset)
 from coughmae.errors import AudioError, DataError, NumericsError
 
 CFG = MelConfig()
+
+
+def band_energy_ratios(manifest: DatasetManifest, mel_cfg: MelConfig,
+                       spec: SynthSpec) -> dict[int, float]:
+    """Per-class mean of (high-band minus low-band) mean log energy.
+
+    This is the declared spectral property separating the synthetic classes;
+    tests check the gap against spec.declared_margin.
+    """
+    centers = mel_filter_centers(mel_cfg)
+    low_bins = (centers >= spec.low_band[0]) & (centers <= spec.low_band[1])
+    high_bins = (centers >= spec.high_band[0]) & (centers <= spec.high_band[1])
+    if not low_bins.any() or not high_bins.any():
+        raise DataError("mel bank does not cover the declared bands")
+    ratios: dict[int, list[float]] = {}
+    for entry in manifest.entries:
+        mel = spectrogram_for_file(manifest.resolve(entry), mel_cfg)
+        value = float(mel.values[:, high_bins].mean() - mel.values[:, low_bins].mean())
+        ratios.setdefault(entry.label, []).append(value)
+    return {label: float(np.mean(vals)) for label, vals in ratios.items()}
 
 
 def write_pcm16(path, samples, rate=16000, channels=1):
@@ -238,6 +258,82 @@ def test_resample_tone_stays_pure():
     side = spectrum.copy()
     side[max(0, peak - 4):peak + 5] = 0.0
     assert side.sum() < 0.01 * spectrum[peak]
+
+
+# - block-wise reading -
+
+
+def read_blocks(stream: WavStream, length: int, stride: int) -> list[tuple[int, np.ndarray]]:
+    """(start, samples) of overlapping reads [k * stride, k * stride + length)."""
+    return [(lo, stream.read(lo, min(lo + length, stream.n_samples)))
+            for lo in range(0, stream.n_samples, stride)]
+
+
+@pytest.mark.parametrize("src", [8000, 16000, 22050, 44100, 48000])
+def test_wav_stream_resamples_like_whole_file(src, tmp_path):
+    """Every block is bit-identical to the same span of a whole-file resample,
+    wherever its boundaries fall, also a few samples either side of each
+    piece the stream computes at once. At 22.05 and 44.1 kHz the matrix
+    products of pieces that do not start on whole groups give other bits."""
+    x = np.random.default_rng(src).uniform(-0.9, 0.9, int(12.3 * src))
+    p = tmp_path / "long.wav"
+    save_wav(p, Waveform(x, src))
+    whole = resample(load_wav(p), 16000).samples
+    stream = WavStream(p, 16000)
+    assert stream.sample_rate == 16000 and stream.n_samples == len(whole)
+    assert stream.duration == len(whole) / 16000
+    for length, stride in [(26720, 20480), (1000, 700), (100003, 99991), (65536, 65536)]:
+        for lo, block in read_blocks(WavStream(p, 16000), length, stride):
+            assert block.tobytes() == whole[lo:lo + len(block)].tobytes()
+    span = _piece_span(16000 // math.gcd(src, 16000))
+    for edge in range(span, len(whole), span):
+        for lo in range(edge - 3, edge + 3, 2):
+            assert stream.read(lo, lo + 5).tobytes() == whole[lo:lo + 5].tobytes()
+
+
+@pytest.mark.parametrize("case", wav_cases(), ids=lambda c: c[0])
+def test_wav_stream_decodes_like_load_wav(case, tmp_path):
+    _, tag, width, bits, samples, extensible, extra = case
+    channels = 1 if samples.ndim == 1 else samples.shape[1]
+    p = tmp_path / "case.wav"
+    p.write_bytes(riff([(b"fmt ", fmt_body(tag, channels, 22050, width, bits, extensible)),
+                        *extra, (b"data", pcm_bytes(samples, width))]))
+    whole = load_wav(p).samples
+    stream = WavStream(p, 22050)
+    assert stream.n_samples == 57
+    for lo, block in read_blocks(stream, 10, 7):
+        assert block.tobytes() == whole[lo:lo + len(block)].tobytes()
+
+
+def test_wav_stream_header_errors_before_reading(tmp_path):
+    cases = {
+        "short.wav": riff([(b"fmt ", fmt_body(1, 1, 16000, 2, 16)),
+                           (b"data", bytes(8))])[:-4],
+        "empty.wav": riff([(b"fmt ", fmt_body(1, 1, 16000, 2, 16)), (b"data", b"")]),
+        "mulaw.wav": riff([(b"fmt ", fmt_body(7, 1, 16000, 1, 8)), (b"data", bytes(8))]),
+        "pcm12.wav": riff([(b"fmt ", fmt_body(1, 1, 16000, 3, 32)), (b"data", bytes(9))]),
+    }
+    for name, body in cases.items():
+        (tmp_path / name).write_bytes(body)
+        with pytest.raises(AudioError, match=name):
+            WavStream(tmp_path / name, 16000)
+    with pytest.raises(AudioError, match="nothing.wav"):
+        WavStream(tmp_path / "nothing.wav", 16000)
+
+
+def test_wav_stream_rejects_non_finite_block(tmp_path):
+    from scipy.io import wavfile
+    data = np.zeros(4000, dtype=np.float32)
+    data[3500] = np.nan
+    p = tmp_path / "late_nan.wav"
+    wavfile.write(str(p), 8000, data)
+    stream = WavStream(p, 8000)
+    assert np.all(stream.read(0, 3000) == 0.0)
+    with pytest.raises(AudioError, match="late_nan.wav"):
+        stream.read(3000, 4000)
+    resampled = WavStream(p, 16000)         # one piece holds the whole file
+    with pytest.raises(AudioError, match="late_nan.wav"):
+        resampled.read(0, 100)
 
 
 # - framing -

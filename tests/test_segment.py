@@ -5,17 +5,18 @@ import numpy as np
 import pytest
 
 from coughmae import workers
-from coughmae.dsp import (MelConfig, Waveform, load_wav, log_mel_spectrogram,
-                          normalize, stats_from_values, synth_dataset)
+from coughmae.dsp import (MelConfig, Waveform, WavStream, load_wav, log_mel_spectrogram,
+                          normalize, resample, stats_from_values, synth_dataset)
 from coughmae.errors import DataError
 from coughmae.finetune import (N_CLASSES, FinetuneConfig, Model, build_scorer,
                                finetune_arrays, score_samples)
 from coughmae.mae import prepare_patches
-from coughmae.segment import (SCORE_CHUNK, Event, F1Scores, SegmentationConfig,
+from coughmae.segment import (BLOCK_CHUNKS, SCORE_CHUNK, Event, F1Scores, SegmentationConfig,
                               event_f1, interval_iou, merge_intervals,
-                              per_window, read_events_csv, sample_f1, slide,
-                              write_events_csv)
+                              read_events_csv, sample_f1, slide, write_events_csv)
 from coughmae.vit import EncoderParams, LinearParams, ModelConfig, patchify
+from conftest import per_window
+from test_dsp import fmt_body, pcm_bytes, riff
 
 CFG = SegmentationConfig()          # window 0.4, step 0.01, threshold 0.5
 
@@ -310,6 +311,59 @@ def test_threaded_slide_is_bit_identical(trained_scorer, cpus):
     positives = [(o / rate, (o + win) / rate) for o in offsets[want >= 0.8].tolist()]
     assert events == [Event(lo, hi) for lo, hi in merge_intervals(positives)]
     assert len(events) >= 2
+
+
+def stream_cases(samples: np.ndarray):
+    """(name, WAV bytes) of a 16 kHz recording in formats load_wav mixes or
+    converts: 24-bit three-channel PCM, and stereo float at 44.1 kHz."""
+    def channels(x: np.ndarray, n: int) -> np.ndarray:
+        """n channels that average to about x."""
+        noise = np.random.default_rng(n).normal(0.0, 1e-3, len(x))
+        return np.stack([x + noise, x - noise, x][:n], axis=1)
+
+    i24 = np.round(np.clip(channels(samples, 3), -1, 1) * (2 ** 23 - 1)).astype("<i4")
+    f32 = channels(resample(Waveform(samples, 16000), 44100).samples, 2).astype("<f4")
+    return [("pcm24_3ch", riff([(b"fmt ", fmt_body(1, 3, 16000, 3, 24)),
+                                (b"data", pcm_bytes(i24, 3))])),
+            ("float32_stereo_44k", riff([(b"fmt ", fmt_body(3, 2, 44100, 4, 32)),
+                                         (b"data", f32.tobytes())]))]
+
+
+@pytest.mark.parametrize("case", [0, 1], ids=["pcm24_3ch", "float32_stereo_44k"])
+def test_streamed_slide_matches_whole_file(trained_scorer, case, tmp_path, monkeypatch):
+    """A WavStream, read in blocks, gives every window the probability that
+    resample(load_wav(...)) gives it, bit for bit, and the same events; each
+    block holds whole chunks, so only the recording's last chunk is short."""
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 1)     # calls in offset order
+    batched, _, recording = trained_scorer
+    name, body = stream_cases(recording.samples)[case]
+    path = tmp_path / f"{name}.wav"
+    path.write_bytes(body)
+    strict = SegmentationConfig(threshold=0.8)
+
+    def run(audio):
+        calls = []
+
+        def recorded(wave, offsets, win):
+            probs = batched(wave, offsets, win)
+            calls.append((len(wave.samples), offsets.copy(), probs))
+            return probs
+
+        return slide(audio, recorded, strict), calls
+
+    want, whole_calls = run(resample(load_wav(path), 16000))
+    got, block_calls = run(WavStream(path, 16000))
+    assert got == want and len(want) >= 2
+    probs = np.concatenate([p for _, _, p in block_calls])
+    assert probs.tobytes() == np.concatenate([p for _, _, p in whole_calls]).tobytes()
+    sizes = [len(offsets) for _, offsets, _ in block_calls]
+    assert set(sizes[:-1]) == {SCORE_CHUNK} and 1 <= sizes[-1] <= SCORE_CHUNK
+    blocks = -(-len(sizes) // BLOCK_CHUNKS)
+    assert blocks >= 3
+    for k in range(blocks):
+        group = block_calls[k * BLOCK_CHUNKS:(k + 1) * BLOCK_CHUNKS]
+        assert group[0][1][0] == 0                       # offsets start at the block's start
+        assert group[0][0] == group[-1][1][-1] + 6400    # the block ends with its last window
 
 
 def test_slide_restores_blas_threads(cpus):

@@ -11,10 +11,15 @@ from coughmae.errors import ShapeError
 from coughmae.tensor import Tensor
 from coughmae.vit import (AttentionParams, EncoderParams, ModelConfig,
                           TokenSequence, embed, encode,
-                          multi_head_attention, patch_count, patch_grid,
+                          multi_head_attention, patch_grid,
                           patchify, sinusoidal_positions, transformer_block)
 
 DESK = ModelConfig()
+
+
+def patch_count(width: int, height: int, side: int, stride: int) -> int:
+    rows, cols = patch_grid(width, height, side, stride)
+    return rows * cols
 
 
 # - patch geometry -
