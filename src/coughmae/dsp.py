@@ -1,9 +1,12 @@
-"""Audio front end: WAV decoding, resampling, log-mel features, dataset plumbing.
+"""Audio front end: WAV decoding and resampling, log-mel features, dataset plumbing.
 
-The feature chain is load -> resample to the target rate -> log-mel
-spectrogram; spectrograms are float64 (time, mel) grids. Everything here is
-deterministic, and the synthetic corpus generator is reproducible down to
-the output bytes for a fixed seed.
+WavStream is the one reader of WAV audio. It decodes, mixes to mono and
+resamples a block at a time; load_wav and spectrogram_for_file are whole
+reads of it, so training features and segmentation windows come from the
+same code and the same bits. The feature chain is read at the target rate
+-> log-mel spectrogram; spectrograms are float64 (time, mel) grids.
+Everything here is deterministic, and the synthetic corpus generator is
+reproducible down to the output bytes for a fixed seed.
 """
 from __future__ import annotations
 
@@ -40,8 +43,16 @@ class Waveform:
             raise AudioError(f"bad sample rate {self.sample_rate}")
 
     @property
+    def n_samples(self) -> int:
+        return len(self.samples)
+
+    @property
     def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
+        return self.n_samples / self.sample_rate
+
+    def read(self, lo: int, hi: int) -> np.ndarray:
+        """Samples lo..hi-1, a view: the reader surface WavStream has."""
+        return self.samples[lo:hi]
 
 
 @dataclass(frozen=True)
@@ -177,20 +188,8 @@ def _walk_wav(fh, path) -> tuple[tuple[int, int, int, int, int], int]:
             fh.seek(1, 1)
 
 
-def _read_wav(path) -> tuple[int, np.ndarray]:
-    """(rate, samples) of a RIFF/WAVE file, shaped (n,) or (n, channels)."""
-    try:
-        with open(path, "rb") as fh:
-            (rate, *layout), size = _walk_wav(fh, path)
-            raw = bytearray(size)
-            fh.readinto(raw)
-    except OSError as exc:
-        raise AudioError(f"cannot read audio file: {path}: {exc.strerror or exc}") from None
-    return rate, _decode_pcm(raw, *layout, path)
-
-
 def _to_mono(data: np.ndarray, path) -> np.ndarray:
-    """Float64 mono samples from decoded WAV samples, as load_wav defines them.
+    """Float64 mono samples from decoded WAV samples (see WavStream).
 
     Every output sample depends only on its own frame, so a block of frames
     converts to the same bits as the whole file does.
@@ -206,42 +205,34 @@ def _to_mono(data: np.ndarray, path) -> np.ndarray:
     return samples.mean(axis=1) if samples.ndim == 2 else samples
 
 
-def load_wav(path) -> Waveform:
-    """Decode a RIFF/WAVE file, mixing to mono.
+class WavStream:
+    """A WAV file's mono audio at target_rate (None: the file's own rate),
+    decoded one block at a time.
 
     Reads PCM at 8 (unsigned), 16, 24 and 32 bits and IEEE float at 32 and
     64 bits, as plain or WAVE_FORMAT_EXTENSIBLE headers, any channel count.
     Integer samples map to [-1, 1) by dividing by the type's full scale;
-    float samples are clipped into [-1, 1], and a NaN or infinite float
-    sample is an AudioError. Multichannel input is averaged. Every failure
-    is an AudioError that names the file.
-    """
-    rate, data = _read_wav(path)
-    if data.size == 0:
-        raise AudioError(f"zero-length audio: {path}")
-    return Waveform(samples=_to_mono(data, path), sample_rate=int(rate))
+    float samples are clipped into [-1, 1]. Multichannel input is averaged.
+    The header is walked once, here: a malformed or truncated header, an
+    unsupported format or an empty data chunk is an AudioError naming the
+    file before any audio is read. A NaN or infinite float sample is an
+    AudioError from the `read` whose block holds it. Every failure is an
+    AudioError that names the file.
 
-
-class WavStream:
-    """A WAV file's audio at a target rate, decoded one block at a time.
-
-    `read(lo, hi)` returns samples lo..hi-1 of resample(load_wav(path),
-    target_rate), bit for bit, while only the frames that block needs are
-    read and decoded. Every format load_wav reads streams. The header is
-    walked once, here: a malformed or truncated header, an unsupported
-    format or an empty data chunk is an AudioError naming the file before
-    any audio is read. A NaN or infinite float sample is an AudioError
-    from the `read` whose block holds it.
-
-    At another source rate, the resampled output is computed in pieces
-    that start on whole `resample` groups (_RESAMPLE_ROWS rows per phase),
-    so each piece takes the same matrix products as the whole-file call.
-    Pieces are kept until a read starts past their end, so ascending,
-    overlapping reads compute each piece once.
+    At the file's own rate, `read(lo, hi)` reads and decodes frames lo..hi-1
+    only. At another rate the audio is resampled polyphase with a
+    windowed-sinc low-pass to n_samples = round(frames * target / source),
+    so duration is preserved to within one sample period, and output i is
+    the kernel centred on input time i * source / target. Outputs are
+    computed in pieces that start on whole groups (_RESAMPLE_ROWS rows per
+    phase), so a sample's bits do not depend on which reads asked for it.
+    The stream keeps the last two pieces it computed, so ascending reads
+    that overlap by less than a piece compute each piece once, and a whole
+    read holds two pieces beside its output.
     """
 
-    def __init__(self, path, target_rate: int):
-        if target_rate <= 0:
+    def __init__(self, path, target_rate: int | None = None):
+        if target_rate is not None and target_rate <= 0:
             raise AudioError(f"bad target rate {target_rate}")
         try:
             with open(path, "rb") as fh:
@@ -251,14 +242,14 @@ class WavStream:
             raise AudioError(f"cannot read audio file: {path}: {exc.strerror or exc}") from None
         _decode_pcm(bytearray(), *layout, path)        # an unsupported format fails here
         self.path = path
-        self.sample_rate = target_rate
+        self.sample_rate = rate if target_rate is None else target_rate
         self._layout = layout
         self._frames = size // layout[2]
         if self._frames == 0:
             raise AudioError(f"zero-length audio: {path}")
-        self._polyphase = None if rate == target_rate else _polyphase(rate, target_rate)
+        self._polyphase = None if rate == self.sample_rate else _polyphase(rate, self.sample_rate)
         self.n_samples = (self._frames if self._polyphase is None
-                          else int(round(self._frames * target_rate / rate)))
+                          else int(round(self._frames * self.sample_rate / rate)))
         self._pieces: dict[int, np.ndarray] = {}
 
     @property
@@ -266,7 +257,7 @@ class WavStream:
         return self.n_samples / self.sample_rate
 
     def _source(self, lo: int, hi: int) -> np.ndarray:
-        """Mono float64 source frames lo..hi-1, converted as load_wav does."""
+        """Mono float64 source frames lo..hi-1."""
         align = self._layout[2]
         raw = bytearray((hi - lo) * align)
         try:
@@ -281,35 +272,52 @@ class WavStream:
         return _to_mono(_decode_pcm(raw, *self._layout, self.path), self.path)
 
     def _piece(self, k: int) -> np.ndarray:
-        """Resampled outputs k * span .. (k + 1) * span - 1 (fewer at the end)."""
+        """Resampled outputs k * span .. (k + 1) * span - 1 (fewer at the end).
+
+        Output i sits at upsampled time t = half + i * down: phase t % up,
+        and its window starts at padded index t // up, where padded index j
+        holds source frame j - (taps - 1), zero outside the file.
+        """
         up, down, half, bank = self._polyphase
         taps = bank.shape[1]
         span = _piece_span(up)
         o0, o1 = k * span, min((k + 1) * span, self.n_samples)
-        # Padded index j holds source frame j - (taps - 1), zero outside the file.
         lo = (half + o0 * down) // up
         hi = (half + (o1 - 1) * down) // up + taps
         padded = np.zeros(hi - lo)
         a, b = max(lo - taps + 1, 0), min(hi - taps + 1, self._frames)
         if a < b:
             padded[a + taps - 1 - lo:b + taps - 1 - lo] = self._source(a, b)
+        windows = np.lib.stride_tricks.sliding_window_view(padded, taps)
         out = np.empty(o1 - o0)
-        _resample_into(out, padded, lo, o0, up, down, half, bank)
+        for r in range(min(up, len(out))):
+            t0 = half + (o0 + r) * down
+            rows = windows[t0 // up - lo::down][:len(range(r, len(out), up))]
+            dest = out[r::up]
+            for g in range(0, len(rows), _RESAMPLE_ROWS):
+                dest[g:g + _RESAMPLE_ROWS] = rows[g:g + _RESAMPLE_ROWS] @ bank[t0 % up]
         return out
 
     def read(self, lo: int, hi: int) -> np.ndarray:
-        """Samples lo..hi-1 at the target rate, 0 <= lo < hi <= n_samples."""
+        """Samples lo..hi-1 at the target rate, 0 <= lo <= hi <= n_samples."""
         if self._polyphase is None:
             return self._source(lo, hi)
         span = _piece_span(self._polyphase[0])
-        self._pieces = {k: v for k, v in self._pieces.items() if (k + 1) * span > lo}
         out = np.empty(hi - lo)
         for k in range(lo // span, (hi - 1) // span + 1):
             if k not in self._pieces:
+                self._pieces = {j: v for j, v in self._pieces.items() if j == k - 1}
                 self._pieces[k] = self._piece(k)
             a, b = max(lo, k * span), min(hi, (k + 1) * span)
             out[a - lo:b - lo] = self._pieces[k][a - k * span:b - k * span]
         return out
+
+
+def load_wav(path, target_rate: int | None = None) -> Waveform:
+    """A whole WAV file at target_rate (None: its own rate), mixed to mono
+    (see WavStream)."""
+    stream = WavStream(path, target_rate)
+    return Waveform(samples=stream.read(0, stream.n_samples), sample_rate=stream.sample_rate)
 
 
 def save_wav(path, wave: Waveform) -> None:
@@ -331,10 +339,11 @@ def save_wav(path, wave: Waveform) -> None:
 
 # - Resampling -
 
-# Rows per matrix product in resample: each phase computes its outputs in
-# groups of this many rows, split at phase-row multiples of it. Where numpy
-# hands the rows to BLAS (down >= taps, as at 44.1 and 22.05 kHz) a row's
-# bits depend on its group, so a streamed resample splits the same way.
+# Rows per matrix product: each phase computes its outputs in groups of
+# this many rows, split at phase-row multiples of it. Where numpy hands the
+# rows to BLAS (down >= taps, as at 44.1 and 22.05 kHz) a row's bits depend
+# on its group, so a WavStream piece is whole groups: every output keeps the
+# bits of one pass over the whole file in groups, whatever reads asked for it.
 # At 512 a 44.1 kHz group spans 81,920 outputs (5.1 s at 16 kHz).
 _RESAMPLE_ROWS = 512
 # Resampled outputs a WavStream computes at once: a whole number of groups.
@@ -377,52 +386,6 @@ def _piece_span(up: int) -> int:
     """Outputs per WavStream piece: whole groups of _RESAMPLE_ROWS rows per phase."""
     group = _RESAMPLE_ROWS * up
     return group * max(1, _STREAM_PIECE // group)
-
-
-def _resample_into(out: np.ndarray, padded: np.ndarray, base: int, o0: int,
-                   up: int, down: int, half: int, bank: np.ndarray) -> None:
-    """Write resampled outputs o0 .. o0 + len(out) - 1 into out.
-
-    o0 is a multiple of _RESAMPLE_ROWS * up. padded[j - base] holds padded
-    input j, which is input sample j - (taps - 1), zero outside the input.
-    Output i sits at upsampled time t = half + i * down: phase t % up, and
-    its window starts at padded index t // up.
-    """
-    windows = np.lib.stride_tricks.sliding_window_view(padded, bank.shape[1])
-    n = len(out)
-    for r in range(min(up, n)):
-        t0 = half + (o0 + r) * down
-        rows = windows[t0 // up - base::down][:len(range(r, n, up))]
-        dest = out[r::up]
-        for b in range(0, len(rows), _RESAMPLE_ROWS):
-            dest[b:b + _RESAMPLE_ROWS] = rows[b:b + _RESAMPLE_ROWS] @ bank[t0 % up]
-
-
-def resample(wave: Waveform, target_rate: int) -> Waveform:
-    """Polyphase windowed-sinc resampling to target_rate.
-
-    Output length is round(n * target / source), so duration is preserved
-    to within one sample period. Equal rates return `wave` itself, sharing
-    its samples. Otherwise output sample i is the kernel centred on input
-    time i * source / target: conceptually zero-stuff by `up`, filter and
-    keep every `down`-th sample, but each output only touches the kernel
-    taps of its own phase, so no upsampled signal is ever built.
-    """
-    if target_rate <= 0:
-        raise AudioError(f"bad target rate {target_rate}")
-    src = wave.sample_rate
-    if src == target_rate:
-        return wave
-    up, down, half, bank = _polyphase(src, target_rate)
-    taps = bank.shape[1]
-    n_in = len(wave.samples)
-    n_out = int(round(n_in * target_rate / src))
-    last = (half + max(n_out - 1, 0) * down) // up
-    padded = np.zeros(taps - 1 + max(n_in, last + 1))
-    padded[taps - 1:taps - 1 + n_in] = wave.samples
-    out = np.empty(n_out)
-    _resample_into(out, padded, 0, 0, up, down, half, bank)
-    return Waveform(samples=out, sample_rate=target_rate)
 
 
 # - Log-mel spectrogram -
@@ -513,10 +476,8 @@ def normalize(spec: MelSpectrogram, mean: float, std: float) -> MelSpectrogram:
 
 
 def spectrogram_for_file(path, cfg: MelConfig) -> MelSpectrogram:
-    """load -> resample -> log-mel, the standard feature chain for one file."""
-    wave = load_wav(path)
-    wave = resample(wave, cfg.target_rate)
-    return log_mel_spectrogram(wave, cfg)
+    """Log-mel of a whole WAV file read at cfg.target_rate: the training features."""
+    return log_mel_spectrogram(load_wav(path, cfg.target_rate), cfg)
 
 
 # - Dataset manifest -

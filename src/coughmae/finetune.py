@@ -35,6 +35,7 @@ from .workers import in_order, worker_count
 N_CLASSES = 2
 MAX_GRAD_NORM = 1.0   # ViT fine-tuning value, Dosovitskiy et al. 2021, App. B.1
 SCORE_BATCH = 32      # samples per tape-free forward in score_samples
+POOLINGS = ("cls", "mean")   # the modes pool knows
 
 
 @dataclass(frozen=True)
@@ -51,8 +52,8 @@ class FinetuneConfig:
     warmup_frac: float = 0.05
 
     def __post_init__(self):
-        if self.pooling not in ("cls", "mean"):
-            raise ConfigError(f"pooling must be cls or mean, got {self.pooling!r}")
+        if self.pooling not in POOLINGS:
+            raise ConfigError(f"pooling must be one of {POOLINGS}, got {self.pooling!r}")
         if self.epochs <= 0 or self.batch_size <= 0 or self.k_folds < 2:
             raise ConfigError("epochs/batch_size must be positive and k_folds >= 2")
 
@@ -83,14 +84,13 @@ def pool(feats: TokenSequence, mode: str) -> Tensor:
     excluded). The mean is computed over value-sorted cells so it is exactly
     invariant to patch order.
     """
+    if mode not in POOLINGS:
+        raise ConfigError(f"unknown pooling mode {mode!r}")
     if mode == "cls":
         picked = T.gather(feats.tokens, np.array([0], dtype=np.intp), axis=1)
         return T.reshape(picked, (feats.tokens.shape[0], feats.tokens.shape[2]))
-    if mode == "mean":
-        idx = np.arange(1, 1 + feats.n_patches, dtype=np.intp)
-        patch_feats = T.gather(feats.tokens, idx, axis=1)
-        return _order_invariant_mean(patch_feats)
-    raise ConfigError(f"unknown pooling mode {mode!r}")
+    idx = np.arange(1, 1 + feats.n_patches, dtype=np.intp)
+    return _order_invariant_mean(T.gather(feats.tokens, idx, axis=1))
 
 
 def _order_invariant_mean(x: Tensor) -> Tensor:
@@ -271,7 +271,9 @@ def load_model(ckpt: Checkpoint, mel_cfg: MelConfig, model_cfg: ModelConfig) -> 
     The header's mel and model sections are what the model was trained
     with; a caller config that differs from either is a ConfigError naming
     the first differing field. Only a fine-tuned model trained on raw input
-    may lack stats. Parameters are allocated without init draws, then
+    may lack stats. Without a finetune section the pooling is cls; a
+    section that is no object, or whose pooling is not cls or mean, is a
+    CheckpointError. Parameters are allocated without init draws, then
     filled from the checkpoint arrays.
     """
     for key, run_cfg in (("mel", mel_cfg), ("model", model_cfg)):
@@ -288,10 +290,14 @@ def load_model(ckpt: Checkpoint, mel_cfg: MelConfig, model_cfg: ModelConfig) -> 
     if ckpt.stats is None and not finetuned:
         raise DataError("checkpoint has no normalization statistics; cannot fine-tune from it")
     stats = None if ckpt.stats is None else _header_stats(ckpt.stats)
+    section = ckpt.config.get("finetune", {})
+    pooling = section.get("pooling", "cls") if isinstance(section, dict) else None
+    if pooling not in POOLINGS:
+        raise CheckpointError(f"checkpoint header: bad 'finetune' section {str(section)[:120]} "
+                              f"(needs an object whose pooling is one of {POOLINGS})")
     encoder = EncoderParams(model_cfg, seed=None)
     head = LinearParams("head", model_cfg.dim, N_CLASSES, seed=None) if finetuned else None
     load_into(ckpt.arrays, encoder.parameters() + (head.parameters() if finetuned else []))
-    pooling = ckpt.config.get("finetune", {}).get("pooling", "cls")
     return Model(encoder=encoder, head=head, pooling=pooling, stats=stats)
 
 

@@ -5,8 +5,8 @@ probability per window wave.samples[o:o + win]. slide() runs it over
 fixed-length windows advanced by a fixed step (both measured in whole
 samples, so delaying audio by k steps shifts detections by exactly k
 steps), then merges overlapping or touching positive windows into events.
-It takes a Waveform in memory or a dsp.WavStream, which it reads in blocks,
-so a recording's length does not set the memory segmentation needs.
+It reads its input, a dsp.WavStream or a Waveform already in memory, in
+blocks, so a recording's length does not set the memory segmentation needs.
 
 Scoring offers two views: event-based F1 with greedy IoU matching, and
 sample-based F1 over fixed-width time bins.
@@ -33,9 +33,11 @@ _OVERLAP_TOL = 1e-12
 # (about 233,000 minor faults per 60 s recording, against 3,100 at 16).
 SCORE_CHUNK = 16
 
-# SCORE_CHUNK chunks per block that slide() reads from a WavStream. A block
-# of 16 kHz audio at the default window and step is 1.7 s, 26,720 samples.
-BLOCK_CHUNKS = 8
+# Window-start samples per block that slide() reads, rounded down to whole
+# chunks and at least one chunk. At 16 kHz and the default 0.01 s step that
+# is 8 chunks, and a block with its 0.4 s window is 1.7 s, 26,720 samples.
+# Budgeting samples, not windows, keeps long steps from reading long blocks.
+BLOCK_SAMPLES = 20_480
 
 # glibc (mmap, trim) thresholds, bytes, that `coughmae segment` pins before
 # scoring (workers.pin_malloc_thresholds). Each chunk's arrays, about 0.5 MB,
@@ -101,12 +103,13 @@ def slide(audio: Waveform | WavStream, scorer: Scorer, cfg: SegmentationConfig) 
 
     Window offsets are whole multiples of the step in samples. Each scorer
     call gets consecutive ascending offsets, SCORE_CHUNK at most, and only
-    the recording's last chunk may hold fewer. A Waveform goes to the scorer
-    whole, with absolute offsets. A WavStream is read in blocks of
-    BLOCK_CHUNKS chunks plus the window - step samples the next block's
-    first window shares, and the scorer gets each block as a Waveform with
-    offsets relative to the block's start: the same samples, so the same
-    probabilities. At most a few blocks are in memory at once.
+    the recording's last chunk may hold fewer. The audio is read in blocks
+    of whole chunks whose window starts span at most BLOCK_SAMPLES samples
+    (one chunk if a chunk spans more), plus the window - step samples the
+    block's last window reaches past them. The scorer gets each block as a
+    Waveform with offsets relative to the block's start: the same samples
+    wherever a block starts, so the same probabilities. At most a few
+    blocks are in memory at once.
 
     The scorer runs in W = workers.worker_count() worker threads, never in
     the caller's thread, and with W > 1 its calls overlap, so it must be
@@ -125,17 +128,15 @@ def slide(audio: Waveform | WavStream, scorer: Scorer, cfg: SegmentationConfig) 
     step = int(round(cfg.step * rate))
     if step <= 0 or win <= 0:
         raise DataError(f"window/step too small for rate {rate}")
-    whole = isinstance(audio, Waveform)
-    n_samples = len(audio.samples) if whole else audio.n_samples
-    n_windows = max(0, (n_samples - win) // step + 1)
-    per_block = max(n_windows, 1) if whole else BLOCK_CHUNKS * SCORE_CHUNK
+    n_windows = max(0, (audio.n_samples - win) // step + 1)
+    per_block = SCORE_CHUNK * max(1, BLOCK_SAMPLES // (SCORE_CHUNK * step))
 
     def chunks():
         """(block's first sample, block, block-relative offsets) per scorer call."""
         for w0 in range(0, n_windows, per_block):
             w1 = min(w0 + per_block, n_windows)
-            base = 0 if whole else w0 * step
-            block = audio if whole else Waveform(audio.read(base, (w1 - 1) * step + win), rate)
+            base = w0 * step
+            block = Waveform(audio.read(base, (w1 - 1) * step + win), rate)
             for c in range(w0, w1, SCORE_CHUNK):
                 offsets = np.arange(c, min(c + SCORE_CHUNK, w1), dtype=np.intp) * step
                 yield base, block, offsets - base

@@ -9,12 +9,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from coughmae.dsp import (DatasetManifest, ManifestEntry, MelConfig,
-                          MelSpectrogram, SynthSpec, Waveform, WavStream, _read_wav,
-                          _piece_span, _resample_kernel, dataset_stats,
+                          MelSpectrogram, SynthSpec, Waveform, WavStream, _decode_pcm,
+                          _piece_span, _resample_kernel, _walk_wav, dataset_stats,
                           fit_length, frame_count, load_manifest,
                           load_wav, log_mel_spectrogram, mel_filter_centers,
                           mel_filterbank, mel_inverse, mel_scale, normalize,
-                          resample, save_manifest, save_wav, spectrogram_for_file,
+                          save_manifest, save_wav, spectrogram_for_file,
                           stats_from_values, synth_dataset)
 from coughmae.errors import AudioError, DataError, NumericsError
 
@@ -140,6 +140,15 @@ def pcm_bytes(values: np.ndarray, width: int) -> bytes:
     return values.tobytes()
 
 
+def read_raw(path) -> tuple[int, np.ndarray]:
+    """(rate, samples) of a WAV file as decoded before mixing, shaped (n,) or
+    (n, channels): the arrays scipy.io.wavfile.read returns."""
+    with open(path, "rb") as fh:
+        (rate, *layout), size = _walk_wav(fh, path)
+        raw = bytearray(fh.read(size))
+    return rate, _decode_pcm(raw, *layout, path)
+
+
 def wav_cases():
     rng = np.random.default_rng(11)
     u8 = rng.integers(0, 256, size=(57, 2)).astype(np.uint8)
@@ -172,7 +181,7 @@ def test_read_wav_matches_scipy(case, tmp_path):
     p = tmp_path / "case.wav"
     p.write_bytes(riff([(b"fmt ", fmt_body(tag, channels, 22050, width, bits, extensible)),
                         *extra, (b"data", pcm_bytes(samples, width))]))
-    rate, data = _read_wav(p)
+    rate, data = read_raw(p)
     ref_rate, ref = wavfile.read(str(p))
     assert rate == ref_rate == 22050
     assert data.dtype == ref.dtype and data.shape == ref.shape
@@ -186,7 +195,7 @@ def test_read_wav_24bit_is_left_justified(tmp_path):
     values = np.array([0, 1, -1, 2 ** 23 - 1, -2 ** 23], dtype="<i4")
     p.write_bytes(riff([(b"fmt ", fmt_body(1, 1, 16000, 3, 24)),
                         (b"data", pcm_bytes(values, 3))]))
-    _, data = _read_wav(p)
+    _, data = read_raw(p)
     assert data.dtype == np.int32
     assert np.array_equal(data, values * 256)
     assert np.array_equal(load_wav(p).samples, values / 2.0 ** 23)
@@ -197,7 +206,7 @@ def test_read_wav_skips_unknown_odd_chunk(tmp_path):
     values = np.array([1, -2, 3], dtype="<i2")
     p.write_bytes(riff([(b"abcd", b"xyz"), (b"fmt ", fmt_body(1, 1, 8000, 2, 16)),
                         (b"data", values.tobytes()), (b"LIST", b"trailing")]))
-    rate, data = _read_wav(p)
+    rate, data = read_raw(p)
     assert rate == 8000 and np.array_equal(data, values)
 
 
@@ -214,16 +223,17 @@ def test_save_wav_bytes_match_scipy(n, rate, tmp_path):
 # - resampling -
 
 
-def test_resample_identity():
-    w = Waveform(np.sin(np.linspace(0, 10, 1600)), 16000)
-    out = resample(w, 16000)
-    assert out.sample_rate == 16000
-    assert out.samples is w.samples
+def float_stream(path, x: np.ndarray, rate: int, target_rate: int = 16000) -> WavStream:
+    """x written as a 64-bit float WAV at rate, whose samples in [-1, 1] the
+    stream decodes unchanged, opened at target_rate."""
+    path.write_bytes(riff([(b"fmt ", fmt_body(3, 1, rate, 8, 64)),
+                           (b"data", x.astype("<f8").tobytes())]))
+    return WavStream(path, target_rate)
 
 
 @pytest.mark.parametrize("src", [8000, 22050, 44100, 48000])
 @pytest.mark.parametrize("n", [1, 7, 1000, 30011])
-def test_resample_matches_upfirdn(src, n):
+def test_resample_matches_upfirdn(src, n, tmp_path):
     from scipy.signal import upfirdn
     x = np.random.default_rng(src + n).uniform(-1, 1, n)
     g = math.gcd(src, 16000)
@@ -232,25 +242,25 @@ def test_resample_matches_upfirdn(src, n):
     start = (len(kernel) - 1) // 2 // down
     n_out = int(round(n * 16000 / src))
     ref = upfirdn(kernel, x, up=up, down=down)[start:start + n_out]
-    out = resample(Waveform(x, src), 16000)
-    assert out.sample_rate == 16000 and out.samples.shape == (n_out,)
-    assert np.all(np.abs(out.samples - ref) <= 1e-12)
+    stream = float_stream(tmp_path / "x.wav", x, src)
+    out = stream.read(0, stream.n_samples)
+    assert stream.sample_rate == 16000 and out.shape == (n_out,)
+    assert np.all(np.abs(out - ref) <= 1e-12)
 
 
-def test_resample_duration_preserved():
-    w = Waveform(np.random.default_rng(0).normal(size=48000), 48000)
-    out = resample(w, 16000)
-    assert out.sample_rate == 16000
-    assert abs(out.samples.size - 16000) <= 1
+def test_resample_duration_preserved(tmp_path):
+    x = np.random.default_rng(0).normal(size=48000)
+    stream = float_stream(tmp_path / "x.wav", x, 48000)
+    assert stream.sample_rate == 16000
+    assert abs(stream.n_samples - 16000) <= 1
 
 
-def test_resample_tone_stays_pure():
+def test_resample_tone_stays_pure(tmp_path):
     rate_in = 44100
     t = np.arange(int(1.5 * rate_in)) / rate_in
-    w = Waveform(0.8 * np.sin(2 * np.pi * 440.0 * t), rate_in)
-    out = resample(w, 16000)
+    out = float_stream(tmp_path / "tone.wav", 0.8 * np.sin(2 * np.pi * 440.0 * t), rate_in)
     # analyze an interior chunk, away from filter edge transients
-    chunk = out.samples[4000:12000] * np.hanning(8000)
+    chunk = out.read(4000, 12000) * np.hanning(8000)
     spectrum = np.abs(np.fft.rfft(chunk)) ** 2
     peak = int(np.argmax(spectrum))
     freq = peak * 16000 / 8000
@@ -271,21 +281,31 @@ def read_blocks(stream: WavStream, length: int, stride: int) -> list[tuple[int, 
 
 @pytest.mark.parametrize("src", [8000, 16000, 22050, 44100, 48000])
 def test_wav_stream_resamples_like_whole_file(src, tmp_path):
-    """Every block is bit-identical to the same span of a whole-file resample,
+    """One whole-file read, which spans several pieces, is within 1e-12 of
+    scipy's upfirdn, and every block is bit-identical to the same span of it,
     wherever its boundaries fall, also a few samples either side of each
-    piece the stream computes at once. At 22.05 and 44.1 kHz the matrix
-    products of pieces that do not start on whole groups give other bits."""
+    piece the stream computes at once."""
+    from scipy.signal import upfirdn
     x = np.random.default_rng(src).uniform(-0.9, 0.9, int(12.3 * src))
     p = tmp_path / "long.wav"
     save_wav(p, Waveform(x, src))
-    whole = resample(load_wav(p), 16000).samples
+    once = WavStream(p, 16000)
+    whole = once.read(0, once.n_samples)
     stream = WavStream(p, 16000)
     assert stream.sample_rate == 16000 and stream.n_samples == len(whole)
     assert stream.duration == len(whole) / 16000
+    g = math.gcd(src, 16000)
+    up, down = 16000 // g, src // g
+    span = _piece_span(up)
+    if src != 16000:
+        assert len(whole) > span                 # piece 1 onwards is checked too
+        kernel = _resample_kernel(up, down)
+        start = (len(kernel) - 1) // 2 // down
+        ref = upfirdn(kernel, load_wav(p).samples, up=up, down=down)[start:start + len(whole)]
+        assert np.all(np.abs(whole - ref) <= 1e-12)
     for length, stride in [(26720, 20480), (1000, 700), (100003, 99991), (65536, 65536)]:
         for lo, block in read_blocks(WavStream(p, 16000), length, stride):
             assert block.tobytes() == whole[lo:lo + len(block)].tobytes()
-    span = _piece_span(16000 // math.gcd(src, 16000))
     for edge in range(span, len(whole), span):
         for lo in range(edge - 3, edge + 3, 2):
             assert stream.read(lo, lo + 5).tobytes() == whole[lo:lo + 5].tobytes()

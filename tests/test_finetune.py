@@ -329,6 +329,19 @@ def test_loader_rejects_malformed_stats(stats, tmp_path):
         load_model(load_checkpoint(tmp_path / "model.bin"), MelConfig(), cfg)
 
 
+@pytest.mark.parametrize("section", [["pooling", "mean"], {"pooling": "max"}, {"pooling": 3}])
+def test_loader_rejects_malformed_finetune_section(section, tmp_path):
+    """A finetune section that is no object, or names no pooling mode, in a
+    file with a valid digest, is a CheckpointError at load, not a raw
+    AttributeError or a model that fails later in pool()."""
+    cfg = ModelConfig()
+    ckpt = finetuned_checkpoint(cfg)
+    ckpt.config["finetune"] = section
+    save_checkpoint(tmp_path / "model.bin", ckpt.arrays, ckpt.config, ckpt.stats)
+    with pytest.raises(CheckpointError, match="'finetune'"):
+        load_model(load_checkpoint(tmp_path / "model.bin"), MelConfig(), cfg)
+
+
 def test_loader_needs_stats_of_pretraining_checkpoint():
     cfg = ModelConfig()
     ckpt = finetuned_checkpoint(cfg, "pretrain")

@@ -6,17 +6,17 @@ import pytest
 
 from coughmae import workers
 from coughmae.dsp import (MelConfig, Waveform, WavStream, load_wav, log_mel_spectrogram,
-                          normalize, resample, stats_from_values, synth_dataset)
+                          normalize, stats_from_values, synth_dataset)
 from coughmae.errors import DataError
 from coughmae.finetune import (N_CLASSES, FinetuneConfig, Model, build_scorer,
                                finetune_arrays, score_samples)
 from coughmae.mae import prepare_patches
-from coughmae.segment import (BLOCK_CHUNKS, SCORE_CHUNK, Event, F1Scores, SegmentationConfig,
+from coughmae.segment import (BLOCK_SAMPLES, SCORE_CHUNK, Event, F1Scores, SegmentationConfig,
                               event_f1, interval_iou, merge_intervals,
                               read_events_csv, sample_f1, slide, write_events_csv)
 from coughmae.vit import EncoderParams, LinearParams, ModelConfig, patchify
 from conftest import per_window
-from test_dsp import fmt_body, pcm_bytes, riff
+from test_dsp import float_stream, fmt_body, pcm_bytes, riff
 
 CFG = SegmentationConfig()          # window 0.4, step 0.01, threshold 0.5
 
@@ -24,6 +24,23 @@ CFG = SegmentationConfig()          # window 0.4, step 0.01, threshold 0.5
 def ramp_wave(n: int, rate: int = 100) -> Waveform:
     """Samples valued by index so a scorer can read its window offset."""
     return Waveform(samples=np.arange(n, dtype=np.float64), sample_rate=rate)
+
+
+class LoggedReader:
+    """A Waveform's reader surface that keeps every block slide() reads."""
+
+    def __init__(self, wave: Waveform):
+        self.wave, self.sample_rate, self.n_samples = wave, wave.sample_rate, wave.n_samples
+        self.blocks: list[tuple[int, np.ndarray]] = []     # kept, so no two share an id
+
+    def read(self, lo: int, hi: int) -> np.ndarray:
+        block = self.wave.read(lo, hi)
+        self.blocks.append((lo, block))
+        return block
+
+    def start_of(self, samples: np.ndarray) -> int:
+        """The first sample of the block a scorer call was handed."""
+        return next(lo for lo, block in self.blocks if block is samples)
 
 
 def offset_scorer(positive_offsets_s, rate: int = 100):
@@ -165,21 +182,51 @@ def test_slide_shift_consistency(rng):
 
 def test_slide_passes_bounded_ordered_chunks():
     """Each call gets consecutive ascending offsets, at most SCORE_CHUNK of
-    them, and every window is scored exactly once (calls may overlap in time)."""
-    rate, n = 100, 20_000
+    them, relative to a block that is a view of the audio and ends with its
+    last window, and every window is scored exactly once (calls may overlap
+    in time). On a ramp, block[o] is window o's absolute offset."""
+    rate, n = 100, 50_000
     wave = ramp_wave(n, rate)
     calls = []
 
     def recording_scorer(w, offsets, win):
-        assert w is wave and win == 40
-        calls.append(list(offsets))
+        assert np.shares_memory(w.samples, wave.samples) and win == 40
+        calls.append((w.samples, list(offsets)))
         return np.zeros(len(offsets))
 
     assert slide(wave, recording_scorer, CFG) == []
-    for c in calls:
+    blocks: dict[int, tuple[int, list[int]]] = {}       # first sample -> (length, offsets)
+    for block, c in calls:
         assert 1 <= len(c) <= SCORE_CHUNK
         assert c == list(range(c[0], c[0] + len(c)))
-    assert sorted(o for c in calls for o in c) == list(range(0, n - 40 + 1, 1))
+        blocks.setdefault(int(block[0]), (len(block), []))[1].extend(c)
+    assert len(blocks) >= 2
+    for length, starts in blocks.values():
+        assert min(starts) == 0 and max(starts) + 40 == length
+    absolute = sorted(int(block[o]) for block, c in calls for o in c)
+    assert absolute == list(range(0, n - 40 + 1, 1))
+
+
+@pytest.mark.parametrize("rate", [1000, 16000])
+def test_slide_blocks_are_sized_in_samples(rate):
+    """At a 0.1 s step a block's window starts span at most BLOCK_SAMPLES,
+    rounded down to whole chunks, or one chunk where a chunk spans more,
+    and each read adds only the win - step samples its last window needs."""
+    cfg = SegmentationConfig(step=0.1)
+    win, step = int(0.4 * rate), int(0.1 * rate)
+    audio = LoggedReader(ramp_wave(60 * rate, rate))
+    sizes = []
+
+    def scorer(w, offsets, _):
+        sizes.append(len(offsets))
+        return np.zeros(len(offsets))
+
+    assert slide(audio, scorer, cfg) == []
+    chunk = SCORE_CHUNK * step
+    budget = max(chunk, BLOCK_SAMPLES - BLOCK_SAMPLES % chunk)
+    spans = [len(block) for _, block in audio.blocks]
+    assert len(spans) >= 2 and max(spans) == budget + win - step
+    assert sizes.count(SCORE_CHUNK) >= len(sizes) - 1      # blocks hold whole chunks
 
 
 def test_slide_names_earliest_non_finite_offset(cpus):
@@ -288,23 +335,36 @@ def test_batched_scorer_short_audio(trained_scorer):
 
 def test_threaded_slide_is_bit_identical(trained_scorer, cpus):
     """The probabilities slide() consumes equal a sequential pass of the
-    scorer over the same offsets bit for bit, and so do the events."""
+    scorer over each block it reads bit for bit, and over the whole
+    recording too, and so do the events."""
     batched, _, recording = trained_scorer
     win, step = 6400, 160
     offsets = np.arange(0, len(recording.samples) - win + 1, step)
     want = np.concatenate([batched(recording, offsets[lo:lo + SCORE_CHUNK], win)
                            for lo in range(0, len(offsets), SCORE_CHUNK)])
+    audio = LoggedReader(recording)
     seen = []
 
     def recorded(wave, chunk, win):
         probs = batched(wave, chunk, win)
-        seen.append((int(chunk[0]), chunk.copy(), probs.copy()))
+        seen.append((audio.start_of(wave.samples) + chunk, chunk.copy(), probs.copy()))
         return probs
 
     strict = SegmentationConfig(threshold=0.8)
-    events = slide(recording, recorded, strict)
-    seen.sort(key=lambda call: call[0])
-    assert np.array_equal(np.concatenate([c for _, c, _ in seen]), offsets)
+    events = slide(audio, recorded, strict)
+    assert len(audio.blocks) >= 3
+    for lo, block in audio.blocks:
+        rel = np.arange(0, len(block) - win + 1, step)
+        assert rel[-1] + win == len(block)
+        ref = np.concatenate([batched(Waveform(block, recording.sample_rate),
+                                      rel[c:c + SCORE_CHUNK], win)
+                              for c in range(0, len(rel), SCORE_CHUNK)])
+        calls = sorted((call for call in seen if lo <= call[0][0] <= lo + rel[-1]),
+                       key=lambda call: call[0][0])
+        assert np.array_equal(np.concatenate([c for _, c, _ in calls]), rel)
+        assert np.concatenate([p for _, _, p in calls]).tobytes() == ref.tobytes()
+    seen.sort(key=lambda call: call[0][0])
+    assert np.array_equal(np.concatenate([a for a, _, _ in seen]), offsets)
     got = np.concatenate([p for _, _, p in seen])
     assert got.tobytes() == want.tobytes()
     rate = recording.sample_rate
@@ -313,8 +373,8 @@ def test_threaded_slide_is_bit_identical(trained_scorer, cpus):
     assert len(events) >= 2
 
 
-def stream_cases(samples: np.ndarray):
-    """(name, WAV bytes) of a 16 kHz recording in formats load_wav mixes or
+def stream_cases(samples: np.ndarray, tmp_path):
+    """(name, WAV bytes) of a 16 kHz recording in formats WavStream mixes or
     converts: 24-bit three-channel PCM, and stereo float at 44.1 kHz."""
     def channels(x: np.ndarray, n: int) -> np.ndarray:
         """n channels that average to about x."""
@@ -322,7 +382,8 @@ def stream_cases(samples: np.ndarray):
         return np.stack([x + noise, x - noise, x][:n], axis=1)
 
     i24 = np.round(np.clip(channels(samples, 3), -1, 1) * (2 ** 23 - 1)).astype("<i4")
-    f32 = channels(resample(Waveform(samples, 16000), 44100).samples, 2).astype("<f4")
+    at44k = float_stream(tmp_path / "src.wav", samples, 16000, target_rate=44100)
+    f32 = channels(at44k.read(0, at44k.n_samples), 2).astype("<f4")
     return [("pcm24_3ch", riff([(b"fmt ", fmt_body(1, 3, 16000, 3, 24)),
                                 (b"data", pcm_bytes(i24, 3))])),
             ("float32_stereo_44k", riff([(b"fmt ", fmt_body(3, 2, 44100, 4, 32)),
@@ -332,11 +393,11 @@ def stream_cases(samples: np.ndarray):
 @pytest.mark.parametrize("case", [0, 1], ids=["pcm24_3ch", "float32_stereo_44k"])
 def test_streamed_slide_matches_whole_file(trained_scorer, case, tmp_path, monkeypatch):
     """A WavStream, read in blocks, gives every window the probability that
-    resample(load_wav(...)) gives it, bit for bit, and the same events; each
-    block holds whole chunks, so only the recording's last chunk is short."""
+    one whole read of the file gives it, bit for bit, and the same events;
+    each block holds whole chunks, so only the recording's last chunk is short."""
     monkeypatch.setattr(workers, "_usable_cpus", lambda: 1)     # calls in offset order
     batched, _, recording = trained_scorer
-    name, body = stream_cases(recording.samples)[case]
+    name, body = stream_cases(recording.samples, tmp_path)[case]
     path = tmp_path / f"{name}.wav"
     path.write_bytes(body)
     strict = SegmentationConfig(threshold=0.8)
@@ -351,17 +412,19 @@ def test_streamed_slide_matches_whole_file(trained_scorer, case, tmp_path, monke
 
         return slide(audio, recorded, strict), calls
 
-    want, whole_calls = run(resample(load_wav(path), 16000))
+    once = WavStream(path, 16000)
+    want, whole_calls = run(Waveform(once.read(0, once.n_samples), 16000))
     got, block_calls = run(WavStream(path, 16000))
     assert got == want and len(want) >= 2
     probs = np.concatenate([p for _, _, p in block_calls])
     assert probs.tobytes() == np.concatenate([p for _, _, p in whole_calls]).tobytes()
     sizes = [len(offsets) for _, offsets, _ in block_calls]
     assert set(sizes[:-1]) == {SCORE_CHUNK} and 1 <= sizes[-1] <= SCORE_CHUNK
-    blocks = -(-len(sizes) // BLOCK_CHUNKS)
+    per_block = BLOCK_SAMPLES // (SCORE_CHUNK * 160)       # chunks at a 160-sample step
+    blocks = -(-len(sizes) // per_block)
     assert blocks >= 3
     for k in range(blocks):
-        group = block_calls[k * BLOCK_CHUNKS:(k + 1) * BLOCK_CHUNKS]
+        group = block_calls[k * per_block:(k + 1) * per_block]
         assert group[0][1][0] == 0                       # offsets start at the block's start
         assert group[0][0] == group[-1][1][-1] + 6400    # the block ends with its last window
 
