@@ -65,6 +65,14 @@ def op_battery(seed: int = 0) -> list[tuple[str, float]]:
     allowed = np.array([[True, True, False, False]] * 4)
     check("softmax_masked", lambda t: T.reduce_sum(T.square(T.softmax(t, allowed=allowed))),
           r.normal(size=(4, 4)))
+    ra = _rng(seed, "attention")
+    attn = AttentionParams("chk.attn_x", 8, seed=None)
+    for p in attn.parameters():     # weights large enough that the score path matters
+        p.data[...] = ra.normal(size=p.shape) * 0.5
+    x_attn, c_attn = ra.normal(size=(2, 5, 8)), Tensor(ra.normal(size=(2, 5, 8)))
+    for name, wm in (("attention_x", None), ("attention_x_windowed", np.array([0, 0, 1, 1, 2]))):
+        check(name, lambda t, wm=wm: T.reduce_sum(T.square(
+            multi_head_attention(t, attn, n_heads=2, window_map=wm) + c_attn)), x_attn)
     gain, bias_ln = Tensor(r.normal(size=(4,)) + 1.0), Tensor(r.normal(size=(4,)))
     check("layer_norm_x", lambda t: T.reduce_sum(T.square(T.layer_norm(t, gain, bias_ln))), x34 * 2.0)
     fixed = Tensor(r.normal(size=(3, 4)) * 2.0)

@@ -207,20 +207,25 @@ def square(a: Tensor) -> Tensor:
     return _node(a.data * a.data, "square", (a,), (lambda g: 2.0 * a.data * g,))
 
 
+def _matmul_vjps(a: np.ndarray, b: np.ndarray) -> tuple[Callable, Callable]:
+    """The VJPs of a @ b for a and b."""
+
+    def grad_a(g):
+        return _unbroadcast(g @ np.swapaxes(b, -1, -2), a.shape)
+
+    def grad_b(g):
+        return _unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape)
+
+    return grad_a, grad_b
+
+
 def _matmul(a: Tensor, b: Tensor) -> tuple[np.ndarray, tuple[Callable, Callable]]:
     """a @ b on the data after the shape checks, and its VJPs for a and b."""
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
-
-    def grad_a(g):
-        return _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-
-    def grad_b(g):
-        return _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
-
-    return a.data @ b.data, (grad_a, grad_b)
+    return a.data @ b.data, _matmul_vjps(a.data, b.data)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -458,6 +463,87 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _node(out, "linear", (x, w, b), vjps + (lambda g: _unbroadcast(g, b.shape),))
 
 
+def attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor, wv: Tensor, bv: Tensor,
+              wo: Tensor, bo: Tensor, n_heads: int, allowed: np.ndarray | None = None) -> Tensor:
+    """Multi-head scaled dot-product attention over (batch, tokens, dim) as one tape node.
+
+    The forward is the composition linear -> split heads -> q @ k^T ->
+    scale -> softmax(allowed) -> weights @ v -> merge heads -> linear, with
+    the same numpy expressions on the same array layouts, so its values
+    carry the same bits. The weights come from a call to this module's
+    `softmax` on a constant tensor (wrappers of it still see them). The
+    node keeps x, q, k, v, the weights and the merged heads; the raw and
+    scaled scores are freed as soon as the softmax has read them.
+
+    The VJP computes every parent's gradient in one pass on its first call
+    and hands each requires-grad parent its own once. It repeats the
+    composition's products, its _unbroadcast sums and the order in which
+    backward summed x's three projection gradients (q, then k, then v), so
+    every gradient bit matches.
+    """
+    x, wq, bq, wk, bk, wv, bv, wo, bo = (_lift(p) for p in (x, wq, bq, wk, bk, wv, bv, wo, bo))
+    parents = (x, wq, bq, wk, bk, wv, bv, wo, bo)
+    if x.ndim != 3:
+        raise ShapeError(f"attention wants (batch, tokens, dim) input, got {x.shape}")
+    b, t, d = x.shape
+    if d % n_heads != 0:
+        raise ShapeError(f"dim {d} not divisible by {n_heads} heads")
+    hd = d // n_heads
+    split = (b, t, n_heads, hd)
+    s = float(1.0 / np.sqrt(hd))
+
+    def project(w, bias):
+        z = x.data @ w.data
+        z += bias.data
+        return np.transpose(z.reshape(split), (0, 2, 1, 3))
+
+    q, k, v = project(wq, bq), project(wk, bk), project(wv, bv)
+    kt = np.transpose(k, (0, 1, 3, 2))
+    scores = q @ kt
+    scores *= s
+    weights = softmax(Tensor(scores), allowed=allowed).data
+    del scores
+    merged = np.transpose(weights @ v, (0, 2, 1, 3)).reshape((b, t, d))
+    out = merged @ wo.data
+    out += bo.data
+
+    def linear_vjp(inp, w, bias, g):
+        """linear's VJPs for its input, weight and bias."""
+        grad_inp, grad_w = _matmul_vjps(inp, w.data)
+        return grad_inp(g), grad_w(g), _unbroadcast(g, bias.shape)
+
+    def parent_grads(g) -> dict[int, np.ndarray]:
+        g_merged, g_wo, g_bo = linear_vjp(merged, wo, bo, g)
+        g_heads = np.transpose(g_merged.reshape(split), (0, 2, 1, 3))
+        grad_weights, grad_v = _matmul_vjps(weights, v)
+        g_scores, g_v = grad_weights(g_heads), grad_v(g_heads)
+        # softmax then scale VJPs, in place: weights * (g - dot) * s
+        dot = np.sum(g_scores * weights, axis=-1, keepdims=True)
+        g_scores -= dot
+        g_scores *= weights
+        g_scores *= s
+        grad_q, grad_kt = _matmul_vjps(q, kt)
+        g_q, g_k = grad_q(g_scores), np.transpose(grad_kt(g_scores), (0, 1, 3, 2))
+        del g_merged, g_heads, g_scores
+        (gx_q, g_wq, g_bq), (gx_k, g_wk, g_bk), (gx_v, g_wv, g_bv) = (
+            linear_vjp(x.data, w, bias, np.transpose(g_head, (0, 2, 1, 3)).reshape((b, t, d)))
+            for w, bias, g_head in ((wq, bq, g_q), (wk, bk, g_k), (wv, bv, g_v)))
+        grads = ((gx_q + gx_k) + gx_v, g_wq, g_bq, g_wk, g_bk, g_wv, g_bv, g_wo, g_bo)
+        return {i: grad for i, grad in enumerate(grads) if parents[i].requires_grad}
+
+    pending: dict[int, np.ndarray] = {}
+
+    def make_vjp(i):
+        def vjp(g):
+            if not pending:         # first call of a backward pass
+                pending.update(parent_grads(g))
+            return pending.pop(i)
+
+        return vjp
+
+    return _node(out, "attention", parents, tuple(make_vjp(i) for i in range(len(parents))))
+
+
 # - Backward -
 
 
@@ -501,10 +587,9 @@ def backward(loss: Tensor) -> None:
                 continue
             pg = vjp(g)
             acc = flowing.get(id(parent))
-            if acc is None:
-                flowing[id(parent)] = pg
-            else:
-                acc += pg
+            # a VJP may hand two parents the same array (add's _unbroadcast
+            # returns g itself), so never accumulate in place
+            flowing[id(parent)] = pg if acc is None else acc + pg
 
 
 # - Finite-difference checking -

@@ -222,34 +222,26 @@ def embed(patches: np.ndarray, params: EncoderParams) -> TokenSequence:
 
 def multi_head_attention(x: Tensor, params: AttentionParams, n_heads: int,
                          window_map: np.ndarray | None = None) -> Tensor:
-    """Standard scaled dot-product MHA over (batch, tokens, dim).
+    """Standard scaled dot-product MHA over (batch, tokens, dim), one tape node.
 
     window_map assigns a window id to every token; attention between tokens
-    with different ids gets exactly zero weight. A wrapper around
-    tensor.softmax observes the (batch, heads, tokens, tokens) weights.
+    with different ids gets exactly zero weight. tensor.attention runs the
+    whole op: under grad it records one node that keeps x, q, k, v, the
+    (batch, heads, tokens, tokens) softmax weights and the merged heads,
+    never the raw or scaled scores; under no_grad it records nothing. The
+    weights come from a tensor.softmax call, so a wrapper around it observes
+    them. A non-finite value inside attention is reported by the `softmax`
+    op (scores) or the `attention` op (output).
     """
-    b, t, d = x.shape
-    if d % n_heads != 0:
-        raise ShapeError(f"dim {d} not divisible by {n_heads} heads")
-    hd = d // n_heads
-
-    def split(z):
-        return T.transpose(T.reshape(z, (b, t, n_heads, hd)), (0, 2, 1, 3))
-
-    q = split(T.linear(x, params.wq.w, params.wq.b))
-    k = split(T.linear(x, params.wk.w, params.wk.b))
-    v = split(T.linear(x, params.wv.w, params.wv.b))
-    scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(hd))
     allowed = None
     if window_map is not None:
+        t = x.shape[1]
         ids = np.asarray(window_map)
         if ids.shape != (t,):
             raise ShapeError(f"window_map length {ids.shape} does not match {t} tokens")
         allowed = (ids[:, None] == ids[None, :])
-    weights = T.softmax(scores, allowed=allowed)
-    out = T.matmul(weights, v)
-    out = T.reshape(T.transpose(out, (0, 2, 1, 3)), (b, t, d))
-    return T.linear(out, params.wo.w, params.wo.b)
+    return T.attention(x, params.wq.w, params.wq.b, params.wk.w, params.wk.b,
+                       params.wv.w, params.wv.b, params.wo.w, params.wo.b, n_heads, allowed)
 
 
 def cls_rows(x: Tensor) -> Tensor:

@@ -59,3 +59,14 @@ def per_window(fn):
                          for o in offsets])
 
     return scorer
+
+
+def live_tensors(tensor):
+    """The requires-grad tensors reachable from `tensor`, itself included."""
+    seen, stack = {id(tensor)}, [tensor]
+    while stack:
+        for parent in stack.pop()._parents:
+            if parent.requires_grad and id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return len(seen)

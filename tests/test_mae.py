@@ -13,6 +13,7 @@ from coughmae.mae import (DecoderParams, MaskPlan, PretrainConfig,
 from coughmae.rng import seeded_rng
 from coughmae.tensor import Tensor
 from coughmae.vit import EncoderParams, ModelConfig, TokenSequence, sinusoidal_positions
+from conftest import live_tensors
 
 
 # - sample_mask -
@@ -330,6 +331,22 @@ def test_training_step_reduces_loss_small_model():
             opt.step()
         final = pretrain_step_loss(batch, enc, dec, plan).item()
         assert final < first
+
+
+def test_desk_pretrain_step_tape_budget(monkeypatch):
+    # exact counts, so a change that regrows the tape fails here; each of the
+    # four attention calls makes two nodes: a constant softmax and the fused op
+    cfg = ModelConfig()
+    enc, dec = EncoderParams(cfg, 0), DecoderParams(cfg, 0)
+    batch = np.random.default_rng(0).normal(size=(8, 48, cfg.patch_values))
+    plan = sample_mask(48, 0.75, seeded_rng(0, "m"))
+    calls = []
+    node = T._node
+    monkeypatch.setattr(T, "_node", lambda data, op, *rest: calls.append(op) or node(data, op, *rest))
+    loss = pretrain_step_loss(batch, enc, dec, plan, mode="global")
+    assert len(calls) == 56
+    assert calls.count("attention") == calls.count("softmax") == 4
+    assert live_tensors(loss) == 128
 
 
 def test_pretrain_deterministic_history(tmp_path):

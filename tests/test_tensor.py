@@ -1,4 +1,5 @@
 """Forward ops, reverse-mode gradients, and the finite-difference checker."""
+import itertools
 import os
 import threading
 
@@ -142,6 +143,18 @@ def test_backward_accumulates():
     loss2 = T.reduce_sum(T.square(x))
     T.backward(loss2)
     assert np.array_equal(x.grad, 2.0 * once)
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+def test_backward_shared_gradient_array_not_mutated(order):
+    # add hands both parents the same gradient array; accumulating into one
+    # parent's pending gradient must not change the other's
+    q, p = Parameter(np.array([1.0]), "q"), Parameter(np.array([1.0]), "p")
+    x, y = T.scale(q, 1.0), T.scale(p, 2.0)
+    terms = [T.reduce_sum(T.add(x, y)), T.reduce_sum(T.scale(x, 3.0)), T.reduce_sum(T.scale(y, 0.0))]
+    a, b, c = (terms[i] for i in order)
+    T.backward(a + b + c)
+    assert q.grad[0] == 4.0 and p.grad[0] == 2.0
 
 
 def test_backward_requires_scalar():

@@ -7,12 +7,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import coughmae.tensor as T
+import coughmae.vit as vit
 from coughmae.errors import ShapeError
 from coughmae.tensor import Tensor
 from coughmae.vit import (AttentionParams, EncoderParams, ModelConfig,
                           TokenSequence, embed, encode,
                           multi_head_attention, patch_grid,
                           patchify, sinusoidal_positions, transformer_block)
+from conftest import live_tensors
 
 DESK = ModelConfig()
 
@@ -185,6 +187,91 @@ def test_attention_window_map_length_checked():
     with pytest.raises(ShapeError):
         multi_head_attention(Tensor(np.zeros((1, 4, 8))), params, n_heads=2,
                              window_map=np.zeros(5, dtype=int))
+
+
+# - the fused attention node against its primitive-op composition -
+
+
+def reference_attention(x, params, n_heads, window_map=None):
+    """Attention composed from primitive tape ops, 17 nodes per call: the
+    reference whose forward values and gradients the fused node repeats bit
+    for bit."""
+    b, t, d = x.shape
+    hd = d // n_heads
+
+    def split(z):
+        return T.transpose(T.reshape(z, (b, t, n_heads, hd)), (0, 2, 1, 3))
+
+    q = split(T.linear(x, params.wq.w, params.wq.b))
+    k = split(T.linear(x, params.wk.w, params.wk.b))
+    v = split(T.linear(x, params.wv.w, params.wv.b))
+    scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(hd))
+    allowed = None
+    if window_map is not None:
+        ids = np.asarray(window_map)
+        allowed = (ids[:, None] == ids[None, :])
+    weights = T.softmax(scores, allowed=allowed)
+    out = T.reshape(T.transpose(T.matmul(weights, v), (0, 2, 1, 3)), (b, t, d))
+    return T.linear(out, params.wo.w, params.wo.b)
+
+
+def attention_run(attend, x0, params, window_map, x_grad):
+    """Output bytes plus the gradient bytes of x and every parameter."""
+    for p in params.parameters():
+        p.zero_grad()
+    x = Tensor(x0, requires_grad=x_grad)
+    out = attend(x, params, DESK.n_heads, window_map)
+    weight = np.random.default_rng(21).normal(size=out.shape)
+    T.backward(T.reduce_sum(out * Tensor(weight)))
+    grads = [p.grad.tobytes() for p in params.parameters()]
+    return out.data.tobytes(), (x.grad.tobytes() if x_grad else None), grads
+
+
+@pytest.mark.parametrize("x_grad", [True, False])
+@pytest.mark.parametrize("windowed", [False, True], ids=["global", "windowed"])
+@pytest.mark.parametrize("batch", [1, 8])
+def test_fused_attention_bit_identical_to_composition(batch, windowed, x_grad):
+    params = AttentionParams("a", DESK.dim, seed=17)
+    x0 = np.random.default_rng(batch).normal(size=(batch, 49, DESK.dim))
+    window_map = np.arange(49) // 7 if windowed else None
+    want = attention_run(reference_attention, x0, params, window_map, x_grad)
+    got = attention_run(multi_head_attention, x0, params, window_map, x_grad)
+    assert got[0] == want[0]
+    assert got[1] == want[1]
+    assert len(got[2]) == 8 and got[2] == want[2]
+
+
+@pytest.mark.parametrize("batch", [1, 8])
+def test_fused_attention_bit_identical_through_cls_only_encode(batch, monkeypatch):
+    params = EncoderParams(DESK, seed=19)
+    patches = np.random.default_rng(30 + batch).normal(size=(batch, 48, 256))
+    target = np.random.default_rng(40 + batch).normal(size=(batch, 1, DESK.dim))
+
+    def run():
+        for p in params.parameters():
+            p.zero_grad()
+        out = encode(embed(patches, params), params, cls_only=True).features
+        T.backward(T.reduce_sum(out * Tensor(target)))
+        return out.data.tobytes(), [p.grad.tobytes() for p in params.parameters()]
+
+    got = run()
+    monkeypatch.setattr(vit, "multi_head_attention", reference_attention)
+    assert run() == got
+
+
+def test_attention_records_one_node_and_frees_scores():
+    params = AttentionParams("a", DESK.dim, seed=23)
+    x = Tensor(np.random.default_rng(24).normal(size=(2, 9, DESK.dim)), requires_grad=True)
+    out = multi_head_attention(x, params, DESK.n_heads)
+    assert out._op == "attention"
+    assert live_tensors(out) == 1 + 1 + 8       # the node, x and the eight parameters
+    grads_fn = next(c.cell_contents for c in out._vjps[0].__closure__ if callable(c.cell_contents))
+    held = [c.cell_contents for c in grads_fn.__closure__ if isinstance(c.cell_contents, np.ndarray)]
+    # q, k^T, v and the merged heads hold (2, 9, 64) values; the one
+    # (2, heads, 9, 9) array is the softmax weights, not the raw or scaled scores
+    assert sum(a.shape == (2, DESK.n_heads, 9, 9) for a in held) == 1
+    with T.no_grad():
+        assert not multi_head_attention(x, params, DESK.n_heads).requires_grad
 
 
 # - encoder stack -
