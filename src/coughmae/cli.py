@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Subcommands: pretrain, finetune, segment, synth-data, grad-check, stats.
+Subcommands: pretrain, finetune, segment, synth-data, grad-check, stats,
+show-config.
 Exit codes: 0 on success, 1 for internal or numeric failures, 2 for usage
 and input errors. Progress goes to stderr; artifacts land in the configured
 output directory and are byte-identical across reruns with the same config

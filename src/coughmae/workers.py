@@ -17,7 +17,9 @@ two fold or chunk workers on a 2-core box leave no core free, so they do
 not split. The split also needs an idle helper and an array of
 MIN_SPLIT_SIZE elements or more; otherwise the caller computes the whole
 array. The halves write disjoint slices with the same ufuncs, so the bits
-do not depend on the split.
+do not depend on the split. GELU's forward, its one user, calls np.power
+only on the few lanes that need it, so the hand-off pays for itself only
+on arrays several times MIN_SPLIT_SIZE (see there).
 """
 from __future__ import annotations
 
@@ -37,9 +39,12 @@ import numpy as np
 # 5-fold fine-tuning from 122 to 175 samples/s.
 MAX_WORKERS = 2
 
-# Smallest array split_halves splits. Near 5,000 elements the hand-off to the
-# helper eats the gain: on a 2-core box the GELU forward takes 1.31 ms whole
-# and 0.88 ms split at 16,384 values, 0.36 and 0.39 ms at 4,096.
+# Smallest array split_halves splits. On a 2-core box (numpy 2.4.6, AVX-512,
+# malloc thresholds pinned), GELU's forward on N(0, 0.16) values takes, whole
+# / split: 0.07-0.09 / 0.11-0.16 ms at 4,096 values, 0.20 / 0.37 ms at 16,384,
+# 0.32 / 0.45-0.49 ms at 26,624 and 1.5 / 1.1-1.2 ms at 100,352. So at this
+# size the hand-off costs more than it saves; the split breaks even near
+# 65,000 values (ROADMAP item 1, step c).
 MIN_SPLIT_SIZE = 16384
 
 # (get, set) thread-count entry points: scipy-openblas as numpy wheels ship

@@ -5,7 +5,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import coughmae.tensor as T
@@ -381,6 +381,87 @@ def test_no_split_while_every_worker_runs_a_job(cpus, helper_halves):
         outs = [out for _, out in results]
     assert helper_halves == []
     assert all(out.tobytes() == gelu_unsplit(v, v)[0].tobytes() for out in outs)
+
+
+# - GELU: np.power only where it can reach the output -
+
+# ±0, subnormals, the floor's range, the cube-overflow edge (5.6438e102) and
+# the non-finite values; they mix with arbitrary floats below
+_CUBE_EDGE = np.cbrt(np.finfo(np.float64).max)
+GELU_EDGE_VALUES = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-120, 1e-101, 1e-100,
+                    5.6e102, _CUBE_EDGE, np.nextafter(_CUBE_EDGE, 0.0),
+                    np.nextafter(_CUBE_EDGE, np.inf), 6e102, 1e200, np.inf]
+GELU_EDGE_VALUES += [-x for x in GELU_EDGE_VALUES] + [np.nan]
+
+
+def gelu_matches_unsplit(v, g):
+    """T.gelu's forward and VJP against gelu_unsplit, byte for byte; a
+    non-finite output must be the same NumericsError from op gelu."""
+    want_out, want_grad = gelu_unsplit(v, g)
+    if not np.isfinite(want_out).all():
+        with pytest.raises(NumericsError, match="op 'gelu'"):
+            T.gelu(Parameter(v.copy(), "x"))
+        return
+    out = T.gelu(Parameter(v.copy(), "x"))
+    (vjp,) = out._vjps
+    assert out.data.tobytes() == want_out.tobytes()
+    assert vjp(g).tobytes() == want_grad.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")    # inf and overflow lanes, as with v ** 3
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.one_of(st.sampled_from(GELU_EDGE_VALUES), st.floats(),
+                          st.floats(-8.0, 8.0), st.floats(-1e-3, 1e-3)),
+                min_size=1, max_size=64))
+def test_gelu_bit_identical_on_edge_values(cpus, values):
+    v = np.array(values)
+    gelu_matches_unsplit(v, np.cos(np.arange(v.size)))
+    # tiled past MIN_SPLIT_SIZE, an odd size the helper splits on 2 CPUs
+    big = np.resize(v, workers.MIN_SPLIT_SIZE + 1)
+    gelu_matches_unsplit(big, np.cos(np.arange(big.size)))
+
+
+@pytest.fixture
+def power_lanes(monkeypatch):
+    """Sizes of the arrays np.power sees, from every thread."""
+    sizes = []
+    power = np.power
+
+    def counting(base, *args, **kwargs):
+        sizes.append(np.size(base))
+        return power(base, *args, **kwargs)
+
+    monkeypatch.setattr(np, "power", counting)
+    return sizes
+
+
+def test_gelu_sends_only_undecided_lanes_to_power(cpus, power_lanes):
+    # activations of the segment model's spread: both branches run
+    v = np.random.default_rng(14).normal(size=(8, 50, 256)) * 0.16
+    gelu_matches_unsplit(v, np.cos(v))
+    assert 0 < sum(power_lanes) < v.size / 10
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in multiply")   # inf * 0
+def test_gelu_with_huge_slack_sends_every_lane_to_power(cpus, power_lanes, monkeypatch):
+    monkeypatch.setattr(T, "_GELU_CUBE_SLACK", np.inf)
+    r = np.random.default_rng(15)
+    v = np.concatenate([r.normal(size=workers.MIN_SPLIT_SIZE) * 0.16, [0.0, -0.0, 5e-324, 1e-120]])
+    gelu_matches_unsplit(v, np.cos(v))
+    assert sum(power_lanes) == v.size
+
+
+def test_gelu_cube_slack_covers_power_error():
+    # The premise of the bracket: numpy's np.power(v, 3) and v * v * v differ
+    # by no more than a quarter of _GELU_CUBE_SLACK units in the last place.
+    # A numpy build that breaks it fails here, not in silently changed bits.
+    r = np.random.default_rng(16)
+    n = 1 << 20
+    v = np.where(r.random(n) < 0.5, -1.0, 1.0) * 10.0 ** r.uniform(-100.0, 102.7, n)
+    cube = v * v * v
+    assert np.isfinite(cube).all() and np.abs(cube).min() > np.finfo(np.float64).tiny
+    ulps = np.abs(np.power(v, 3) - cube) / np.spacing(np.abs(cube))
+    assert ulps.max() <= T._GELU_CUBE_SLACK / 4
 
 
 @pytest.mark.parametrize("failing", ["helper", "caller"])
