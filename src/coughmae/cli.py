@@ -16,18 +16,15 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from .checkpoint import load_checkpoint, save_model
 from .config import RunConfig, load_config, serialize_config
 from .dsp import WavStream, load_manifest, dataset_stats, synth_dataset
 from .errors import AudioError, ConfigError, CoughMaeError, DataError
-from .finetune import (FinetuneData, build_scorer, cross_validate, load_model,
-                       prepare_finetune)
+from .finetune import build_scorer, cross_validate, load_model, prepare_finetune
 from .mae import pretrain
 from .segment import (MALLOC_THRESHOLDS, event_f1, read_events_csv, sample_f1, slide,
                       write_events_csv)
-from .workers import on_worker, pin_malloc_thresholds
+from .workers import pin_malloc_thresholds
 
 
 def _log(message: str) -> None:
@@ -67,29 +64,21 @@ def cmd_finetune(args) -> int:
     init_arg = args.init or (cfg.paths.checkpoint or "scratch")
     ckpt = None if init_arg == "scratch" else load_checkpoint(init_arg)
     data = prepare_finetune(ckpt, manifest, cfg.mel, cfg.model, cfg.finetune)
-    report = cross_validate(data, cfg.finetune, cfg.seed, log=_log)
+    report = cross_validate(data, cfg.finetune, cfg.seed, log=_log,
+                            final_model=args.final_model)
     (out_dir / "eval_report.json").write_text(report.to_json())
     (out_dir / "eval_report.csv").write_text(report.to_csv())
     _log(f"mean auroc {report.mean_last_epoch_auroc:.4f} at the last epoch over "
          f"{cfg.finetune.k_folds} folds (pooling={report.pooling}, init={report.init_kind})")
 
-    if args.final_model:
-        _train_final_model(cfg, data, report, out_dir)
+    model = report.final_model      # trained on all labelled data, as each fold was
+    if model is not None:
+        save_model(out_dir / "model.bin", model.parameters(), model.stats, "finetuned", cfg.seed,
+                   cfg.mel, cfg.model, finetune=cfg.finetune, normalized=model.stats is not None)
+        _log(f"final model trained on all labelled data for {cfg.finetune.epochs} epochs "
+             f"-> {out_dir / 'model.bin'}")
     print(out_dir / "eval_report.json")
     return 0
-
-
-def _train_final_model(cfg: RunConfig, data: FinetuneData, report, out_dir: Path) -> None:
-    """Retrain on all labelled data for the mean best epoch count and save it."""
-    epochs = max(1, int(round(float(np.mean([e + 1 for e in report.best_epochs])))))
-    ft_cfg = dataclasses.replace(cfg.finetune, epochs=epochs)
-    all_idx = np.arange(len(data.labels))
-    # On a pool thread, the retrain reuses the memory the fold workers freed.
-    # It trains for a fixed epoch count, so it scores no validation set.
-    model = on_worker(lambda: data.run(all_idx, None, ft_cfg, cfg.seed)).model
-    save_model(out_dir / "model.bin", model.parameters(), model.stats, "finetuned", cfg.seed,
-               cfg.mel, cfg.model, finetune=ft_cfg, normalized=model.stats is not None)
-    _log(f"final model retrained for {epochs} epochs -> {out_dir / 'model.bin'}")
 
 
 def cmd_segment(args) -> int:
@@ -191,7 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init", default=None,
                    help="pretraining checkpoint path, or 'scratch' (default: config checkpoint)")
     p.add_argument("--final-model", action=argparse.BooleanOptionalAction, default=True,
-                   help="retrain on all data for the mean best epoch count and save model.bin")
+                   help="also train on all labelled data, for finetune.epochs as each fold "
+                        "does, and save model.bin")
     p.set_defaults(func=cmd_finetune)
 
     p = sub.add_parser("segment", help="sliding-window event detection on one file")

@@ -407,12 +407,6 @@ def mel_inverse(mels):
     return 700.0 * (10.0 ** (np.asarray(mels, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filter_centers(cfg: MelConfig) -> np.ndarray:
-    """Center frequency (Hz) of each triangular filter."""
-    pts = np.linspace(mel_scale(cfg.mel_fmin), mel_scale(cfg.mel_fmax), cfg.n_mels + 2)
-    return mel_inverse(pts)[1:-1]
-
-
 @functools.lru_cache(maxsize=8)
 def mel_filterbank(cfg: MelConfig) -> np.ndarray:
     """(n_mels, fft_size//2 + 1) triangular filters, peak weight 1 (area-unnormalized).
@@ -536,7 +530,9 @@ def load_manifest(path) -> DatasetManifest:
                 try:
                     label = int(raw_label)
                 except ValueError:
-                    raise DataError(f"{path}:{lineno}: label must be an integer, got {raw_label!r}") from None
+                    label = None
+                if label not in (0, 1):
+                    raise DataError(f"{path}:{lineno}: label must be 0 or 1, got {raw_label!r}")
             entries.append(ManifestEntry(path=raw_path, label=label, split=raw_split or None))
     paths = [e.path for e in entries]
     if len(set(paths)) != len(paths):

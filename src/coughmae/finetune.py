@@ -8,7 +8,8 @@ probabilities, and quality is measured by rank-based AUROC. Fine-tuning
 updates the whole network with separate learning rates for encoder and
 head, after clipping the gradient of encoder and head together to one
 global L2 norm (MAX_GRAD_NORM, 1.0 as in ViT fine-tuning). Cross-validation
-reports each fold's best-epoch and last-epoch AUROC.
+reports each fold's best-epoch and last-epoch AUROC, and can train the
+final model, on every sample by the folds' recipe, as one more job.
 """
 from __future__ import annotations
 
@@ -406,12 +407,15 @@ class EvalReport:
     A fold's best epoch is the first maximum of its curve and fold_auroc
     the AUROC there. That epoch is picked on the fold it is reported on, so
     their mean is optimistic; last_epoch_auroc is the AUROC of the weights
-    fine-tuning keeps, picked on nothing.
+    fine-tuning keeps, picked on nothing. final_model, when cross_validate
+    trained one, is that same recipe run on every sample, so the last-epoch
+    AUROCs are the figures that describe it; to_json and to_csv omit it.
     """
 
     pooling: str
     curves: list[list[float]]
     init_kind: str
+    final_model: Model | None = field(default=None, repr=False, compare=False)
 
     @property
     def best_epochs(self) -> list[int]:
@@ -454,20 +458,25 @@ class EvalReport:
 
 
 def cross_validate(data: FinetuneData, cfg: FinetuneConfig, seed: int,
-                   log=None) -> EvalReport:
+                   log=None, final_model: bool = False) -> EvalReport:
     """Stratified k-fold fine-tuning; each fold starts from the same init.
 
     Fold f trains on the other folds and validates on fold f, seeded with
-    seed * 1000 + f. Folds share only read-only inputs, so they run in
-    workers.worker_count() ordered worker threads with OpenBLAS at one
-    thread, and each gives the bits it gives alone. Curves, and each
-    fold's buffered progress lines, are taken in fold order in the caller's
-    thread, so the report is byte-identical at any worker count and `log`
-    is only ever called from the caller's thread.
+    seed * 1000 + f. With final_model, job k trains the final model: every
+    sample, no validation, cfg as the folds use it and the run's own seed;
+    it lands in the report's final_model. Jobs share only read-only inputs,
+    so they run in workers.worker_count() ordered worker threads with
+    OpenBLAS at one thread, and each gives the bits it gives alone. Curves,
+    and each fold's buffered progress lines, are taken in fold order in the
+    caller's thread, so the report is byte-identical at any worker count,
+    with or without the final model, and `log` is only ever called from the
+    caller's thread.
     """
     folds = kfold_split(data.labels, cfg.k_folds, seed)
 
-    def run_fold(f: int):
+    def run_job(f: int):
+        if f == len(folds):
+            return data.run(np.arange(len(data.labels)), None, cfg, seed).model, []
         fold = folds[f]
         val_idx = np.array(fold, dtype=np.intp)
         train_idx = np.array(sorted(set(range(len(data.labels))) - set(fold)), dtype=np.intp)
@@ -476,11 +485,12 @@ def cross_validate(data: FinetuneData, cfg: FinetuneConfig, seed: int,
                           log=lines.append if log else None)
         return result.curve, lines
 
-    curves = []
-    with in_order(run_fold, range(len(folds)), worker_count()) as results:
-        for f, (curve, lines) in results:
+    outputs = []
+    with in_order(run_job, range(len(folds) + int(final_model)), worker_count()) as results:
+        for f, (output, lines) in results:
             for line in lines:
                 log(f"fold {f}: {line}")
-            curves.append(curve)
-    return EvalReport(pooling=cfg.pooling, curves=curves,
-                      init_kind="pretrained" if data.init is not None else "scratch")
+            outputs.append(output)
+    return EvalReport(pooling=cfg.pooling, curves=outputs[:len(folds)],
+                      init_kind="pretrained" if data.init is not None else "scratch",
+                      final_model=outputs[-1] if final_model else None)

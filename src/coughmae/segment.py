@@ -90,14 +90,6 @@ def _extend(merged: list[list[float]], lo: float, hi: float) -> None:
         merged.append([lo, hi])
 
 
-def merge_intervals(intervals: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Union of intervals: overlapping or touching spans collapse into one."""
-    merged: list[list[float]] = []
-    for lo, hi in sorted(intervals):
-        _extend(merged, lo, hi)
-    return [(lo, hi) for lo, hi in merged]
-
-
 def slide(audio: Waveform | WavStream, scorer: Scorer, cfg: SegmentationConfig) -> list[Event]:
     """Score every full window and merge positive ones into events.
 

@@ -1,13 +1,14 @@
 """Ordered worker threads for independent jobs, with OpenBLAS at one thread.
 
-Segmentation scores chunks of windows and cross-validation trains folds
-this way; each pretraining epoch and the final fine-tuning retrain run on
-one such thread. The jobs are numpy ufuncs and small GEMMs that release
-the GIL, so W = min(usable CPUs, MAX_WORKERS) threads keep W cores busy.
-OpenBLAS is held to one thread while they run: between small GEMMs a
-second OpenBLAS thread only busy-waits on a core a worker needs. Results
-are bit-identical to running the jobs one after another, because each job
-computes the same expressions with the same single-threaded kernels.
+Segmentation scores chunks of windows and cross-validation trains folds,
+and the final fine-tuning model beside the last fold, this way; each
+pretraining epoch runs on one such thread. The jobs are numpy ufuncs and
+small GEMMs that release the GIL, so W = min(usable CPUs, MAX_WORKERS)
+threads keep W cores busy. OpenBLAS is held to one thread while they run:
+between small GEMMs a second OpenBLAS thread only busy-waits on a core a
+worker needs. Results are bit-identical to running the jobs one after
+another, because each job computes the same expressions with the same
+single-threaded kernels.
 
 `in_order` counts the jobs it is running. While that count leaves a core
 free, `split_halves` lends it to elementwise work: the caller computes the

@@ -14,10 +14,12 @@ import coughmae.finetune
 import coughmae.mae
 from coughmae.checkpoint import load_checkpoint, save_checkpoint
 from coughmae.cli import main
-from coughmae.config import RunConfig, serialize_config
+from coughmae.config import RunConfig, load_config, serialize_config
+from coughmae.dsp import load_manifest
 from coughmae.errors import DataError
-from coughmae.finetune import load_model
+from coughmae.finetune import load_model, prepare_finetune
 from coughmae.mae import prepare_patches
+from coughmae.workers import on_worker
 from test_checkpoint import MALFORMED, write_with_digest
 
 
@@ -341,10 +343,12 @@ def pretrained(tmp_path_factory, corpus):
     return work / "out" / "checkpoint.bin"
 
 
-def finetune_config(tmp_path: Path, corpus: Path, **sections) -> Path:
-    return write_config(tmp_path / "ft.json", seed=2, **{"model": SMALL_MODEL, **sections},
-                        finetune={"epochs": 1, "batch_size": 4, "k_folds": 2},
-                        paths={"manifest": str(corpus), "output_dir": str(tmp_path / "ft")})
+def finetune_config(tmp_path: Path, corpus: Path, epochs: int = 1, out_name: str = "ft",
+                    **sections) -> Path:
+    return write_config(tmp_path / f"{out_name}.json", seed=2,
+                        **{"model": SMALL_MODEL, **sections},
+                        finetune={"epochs": epochs, "batch_size": 4, "k_folds": 2},
+                        paths={"manifest": str(corpus), "output_dir": str(tmp_path / out_name)})
 
 
 @pytest.mark.parametrize("section, field, value", CONTRADICTIONS)
@@ -455,26 +459,70 @@ def test_finetune_final_model_extracts_features_once(pretrained, corpus, capsys,
 
 
 def test_final_model_retrain_scores_nothing(pretrained, corpus, capsys, tmp_path, monkeypatch):
+    """Only the folds validate: k x epochs calls of one fold each."""
     scored, score_samples = [], coughmae.finetune.score_samples
-    retrain_scored = []
 
     def counting(*args, **kwargs):
         scored.append(args[0].shape[0])
         return score_samples(*args, **kwargs)
 
-    def retrain(*args, **kwargs):
-        before = len(scored)
-        train_final_model(*args, **kwargs)
-        retrain_scored.append(len(scored) - before)
-
-    train_final_model = coughmae.cli._train_final_model
     monkeypatch.setattr(coughmae.finetune, "score_samples", counting)
-    monkeypatch.setattr(coughmae.cli, "_train_final_model", retrain)
-    code, _, _ = run_cli(capsys, "finetune", "--config", str(finetune_config(tmp_path, corpus)),
+    code, _, _ = run_cli(capsys, "finetune", "--config",
+                         str(finetune_config(tmp_path, corpus, epochs=2)),
                          "--init", str(pretrained), "--final-model")
     assert code == 0
-    assert scored and retrain_scored == [0]     # the folds validate, the retrain does not
+    assert scored == [8] * (2 * 2)          # 16 samples, k = 2, 2 epochs
     assert (tmp_path / "ft" / "model.bin").exists()
+
+
+def test_final_model_is_the_folds_recipe_on_every_sample(pretrained, corpus, capsys, tmp_path):
+    """model.bin holds FinetuneData.run over every sample for finetune.epochs
+    with the run seed, and its header's finetune section is the config's."""
+    cfg_path = finetune_config(tmp_path, corpus, epochs=3)
+    code, _, _ = run_cli(capsys, "finetune", "--config", str(cfg_path),
+                         "--init", str(pretrained), "--final-model")
+    assert code == 0
+    cfg = load_config(cfg_path)
+    data = prepare_finetune(load_checkpoint(pretrained), load_manifest(corpus), cfg.mel,
+                            cfg.model, cfg.finetune)
+    want = on_worker(lambda: data.run(np.arange(len(data.labels)), None, cfg.finetune,
+                                      cfg.seed)).model
+    stored = load_checkpoint(tmp_path / "ft" / "model.bin")
+    assert {name: a.tobytes() for name, a in stored.arrays.items()} == \
+        {p.name: p.data.tobytes() for p in want.parameters()}
+    assert stored.config["finetune"] == json.loads(serialize_config(cfg))["finetune"]
+
+
+def test_final_model_leaves_eval_report_bytes(pretrained, corpus, capsys, tmp_path, cpus):
+    reports = {}
+    for flag in ("--final-model", "--no-final-model"):
+        cfg = finetune_config(tmp_path, corpus, epochs=2, out_name=flag.strip("-"))
+        code, _, _ = run_cli(capsys, "finetune", "--config", str(cfg),
+                             "--init", str(pretrained), flag)
+        assert code == 0
+        out = tmp_path / flag.strip("-")
+        assert (out / "model.bin").exists() == (flag == "--final-model")
+        reports[flag] = [(out / name).read_bytes()
+                         for name in ("eval_report.json", "eval_report.csv")]
+    assert reports["--final-model"] == reports["--no-final-model"]
+
+
+@pytest.mark.parametrize("label", ["2", "-1"])
+def test_finetune_label_outside_0_1_exit_2(label, capsys, tmp_path):
+    data = tmp_path / "data"
+    assert main(["synth-data", "--out", str(data), "--n", "8", "--seed", "5"]) == 0
+    manifest = data / "manifest.csv"
+    lines = manifest.read_text().splitlines()
+    for n in (3, 6):
+        path, _, split = lines[n - 1].split(",")
+        lines[n - 1] = f"{path},{label},{split}"
+    manifest.write_text("\n".join(lines) + "\n")
+    code, _, err = run_cli(capsys, "finetune", "--init", "scratch", "--config",
+                           str(finetune_config(tmp_path, manifest)))
+    assert code == 2
+    assert f"{manifest}:3: label must be 0 or 1, got {label!r}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "ft").exists()
 
 
 def test_stats_sidecar_matches_checkpoint_for_permuted_manifest(capsys, tmp_path):

@@ -11,14 +11,20 @@ from hypothesis import strategies as st
 from coughmae.dsp import (DatasetManifest, ManifestEntry, MelConfig,
                           MelSpectrogram, SynthSpec, Waveform, WavStream, _decode_pcm,
                           _piece_span, _resample_kernel, _walk_wav, dataset_stats,
-                          fit_length, frame_count, load_manifest,
-                          load_wav, log_mel_spectrogram, mel_filter_centers,
-                          mel_filterbank, mel_inverse, mel_scale, normalize,
+                          fit_length, frame_count, load_manifest, load_wav,
+                          log_mel_spectrogram, mel_filterbank, mel_inverse, mel_scale, normalize,
                           save_manifest, save_wav, spectrogram_for_file,
                           stats_from_values, synth_dataset)
 from coughmae.errors import AudioError, DataError, NumericsError
 
 CFG = MelConfig()
+
+
+def mel_filter_centers(cfg: MelConfig) -> np.ndarray:
+    """Center frequency (Hz) of each triangular filter, computed apart from
+    mel_filterbank as a reference for it."""
+    pts = np.linspace(mel_scale(cfg.mel_fmin), mel_scale(cfg.mel_fmax), cfg.n_mels + 2)
+    return mel_inverse(pts)[1:-1]
 
 
 def band_energy_ratios(manifest: DatasetManifest, mel_cfg: MelConfig,

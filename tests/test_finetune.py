@@ -609,6 +609,24 @@ def test_cross_validate_derives_fold_fields_from_curves(cpus):
                       "mean_last_epoch_auroc": 0.525}
 
 
+def test_cross_validate_final_model_is_job_k(cpus):
+    """The final model trains on every sample without validation, seeded
+    with the run seed, and leaves the report's bytes alone."""
+    calls = {}
+
+    def run(train_idx, val_idx, cfg, seed, **kwargs):
+        calls[seed] = (list(train_idx), val_idx)
+        return FinetuneResult(model=f"model {seed}", curve=[seed / 10])
+
+    plain = cross_validate(_StubData(run), FinetuneConfig(k_folds=5), seed=7)
+    calls.clear()
+    report = cross_validate(_StubData(run), FinetuneConfig(k_folds=5), seed=7, final_model=True)
+    assert report.final_model == "model 7" and plain.final_model is None
+    assert calls[7] == (list(range(20)), None)
+    assert sorted(calls) == [7] + [7000 + f for f in range(5)]
+    assert (report.to_json(), report.to_csv()) == (plain.to_json(), plain.to_csv())
+
+
 def test_eval_report_csv_mean_row():
     report = EvalReport(pooling="cls", curves=[[0.5], [0.25, 1.0]], init_kind="scratch")
     lines = report.to_csv().strip().split("\n")

@@ -12,13 +12,22 @@ from coughmae.finetune import (N_CLASSES, FinetuneConfig, Model, build_scorer,
                                finetune_arrays, score_samples)
 from coughmae.mae import prepare_patches
 from coughmae.segment import (BLOCK_SAMPLES, SCORE_CHUNK, Event, F1Scores, SegmentationConfig,
-                              event_f1, interval_iou, merge_intervals,
+                              _extend, event_f1, interval_iou,
                               read_events_csv, sample_f1, slide, write_events_csv)
 from coughmae.vit import EncoderParams, LinearParams, ModelConfig, patchify
 from conftest import per_window
 from test_dsp import float_stream, fmt_body, pcm_bytes, riff
 
 CFG = SegmentationConfig()          # window 0.4, step 0.01, threshold 0.5
+
+
+def merge_intervals(intervals: list[tuple[float, float]]) -> list[tuple[float, float]]:
+    """Union of intervals: overlapping or touching spans collapse into one.
+    The batch form of what slide does as windows arrive, as a reference."""
+    merged: list[list[float]] = []
+    for lo, hi in sorted(intervals):
+        _extend(merged, lo, hi)
+    return [(lo, hi) for lo, hi in merged]
 
 
 def ramp_wave(n: int, rate: int = 100) -> Waveform:
