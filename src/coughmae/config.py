@@ -56,10 +56,6 @@ def _coerce(value, target_type, where: str):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{where}: expected an integer, got {value!r}")
         return value
-    if target_type is bool:
-        if not isinstance(value, bool):
-            raise ConfigError(f"{where}: expected a boolean, got {value!r}")
-        return value
     if target_type is str:
         if not isinstance(value, str):
             raise ConfigError(f"{where}: expected a string, got {value!r}")

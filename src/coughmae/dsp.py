@@ -85,14 +85,6 @@ class MelConfig:
         return int(round(self.frame_hop * self.target_rate))
 
 
-@dataclass
-class MelSpectrogram:
-    """(frames, mel bins) grid of natural-log energies."""
-
-    values: np.ndarray
-    normalized: bool = False
-
-
 # - WAV I/O -
 
 _INT_SCALE = {np.dtype(np.int16): 32768.0, np.dtype(np.int32): 2147483648.0}
@@ -424,12 +416,14 @@ def mel_filterbank(cfg: MelConfig) -> np.ndarray:
     return bank
 
 
-def log_mel_spectrogram(wave: Waveform, cfg: MelConfig) -> MelSpectrogram:
-    """Hann-windowed power spectrum projected on the mel bank, natural log.
+def log_mel_spectrogram(wave: Waveform, cfg: MelConfig) -> np.ndarray:
+    """(frames, n_mels) float64 natural-log energies: a Hann-windowed power
+    spectrum projected on the mel bank.
 
     Only fully contained frames are used (no center padding), so delaying
-    the input by exactly k hops shifts the frame grid by k rows. The log
-    floor keeps silence finite at ln(log_floor).
+    the input by exactly k hops shifts the frame grid by k rows, and the
+    rows of a span's log-mel are the log-mels of the windows inside it. The
+    log floor keeps silence finite at ln(log_floor).
     """
     if wave.sample_rate != cfg.target_rate:
         raise AudioError(f"expected {cfg.target_rate} Hz input, got {wave.sample_rate}; resample first")
@@ -440,36 +434,28 @@ def log_mel_spectrogram(wave: Waveform, cfg: MelConfig) -> MelSpectrogram:
     spectrum = np.fft.rfft(frames * window, n=cfg.fft_size, axis=1)
     power = spectrum.real ** 2 + spectrum.imag ** 2
     mel_energy = power @ mel_filterbank(cfg).T
-    return MelSpectrogram(values=np.log(mel_energy + cfg.log_floor), normalized=False)
+    return np.log(mel_energy + cfg.log_floor)
 
 
-def fit_length(spec: MelSpectrogram, target_frames: int, log_floor: float = 1e-10) -> MelSpectrogram:
-    """Crop or right-pad the time axis to exactly target_frames rows.
-
-    Padding uses the silence value: ln(log_floor) for raw spectrograms,
-    0 for normalized ones.
-    """
+def fit_length(values: np.ndarray, target_frames: int, pad_value: float) -> np.ndarray:
+    """A new (target_frames, n_mels) array: the time axis cropped, or
+    right-padded with pad_value, the caller's silence value (ln(log_floor)
+    for raw log-mels, 0 for normalized ones)."""
     if target_frames <= 0:
         raise AudioError(f"target_frames must be positive, got {target_frames}")
-    values = spec.values
     if values.shape[0] >= target_frames:
-        out = values[:target_frames].copy()
-    else:
-        pad_value = 0.0 if spec.normalized else math.log(log_floor)
-        pad = np.full((target_frames - values.shape[0], values.shape[1]), pad_value)
-        out = np.concatenate([values, pad], axis=0)
-    return MelSpectrogram(values=out, normalized=spec.normalized)
+        return values[:target_frames].copy()
+    pad = np.full((target_frames - values.shape[0], values.shape[1]), pad_value)
+    return np.concatenate([values, pad], axis=0)
 
 
-def normalize(spec: MelSpectrogram, mean: float, std: float) -> MelSpectrogram:
+def normalize(values: np.ndarray, mean: float, std: float) -> np.ndarray:
     if std <= 0.0:
         raise NumericsError(f"cannot normalize with std={std}")
-    if spec.normalized:
-        raise NumericsError("spectrogram is already normalized")
-    return MelSpectrogram(values=(spec.values - mean) / std, normalized=True)
+    return (values - mean) / std
 
 
-def spectrogram_for_file(path, cfg: MelConfig) -> MelSpectrogram:
+def spectrogram_for_file(path, cfg: MelConfig) -> np.ndarray:
     """Log-mel of a whole WAV file read at cfg.target_rate: the training features."""
     return log_mel_spectrogram(load_wav(path, cfg.target_rate), cfg)
 
@@ -558,12 +544,16 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
 class DatasetStats:
     mean: float
     std: float
-    degenerate: bool = False
+
+    @property
+    def degenerate(self) -> bool:
+        """All cells equal: no std to normalize by."""
+        return self.std == 0.0
 
 
 def dataset_stats(manifest: DatasetManifest, cfg: MelConfig) -> DatasetStats:
     """Population mean/std over every spectrogram cell in the manifest."""
-    return stats_from_values({e.path: spectrogram_for_file(manifest.resolve(e), cfg).values
+    return stats_from_values({e.path: spectrogram_for_file(manifest.resolve(e), cfg)
                               for e in manifest.entries})
 
 
@@ -571,14 +561,12 @@ def stats_from_values(values: dict[str, np.ndarray]) -> DatasetStats:
     """Population mean/std over spectrogram values keyed by manifest path.
 
     Arrays are reduced in sorted-path order, so the bits do not depend on
-    manifest ordering. An all-equal dataset is flagged degenerate.
+    manifest ordering. An all-equal dataset is degenerate.
     """
     if not values:
         raise DataError("stats over an empty collection")
     flat = np.concatenate([values[path].ravel() for path in sorted(values)])
-    mean = float(flat.mean())
-    std = float(flat.std())
-    return DatasetStats(mean=mean, std=std, degenerate=(std == 0.0))
+    return DatasetStats(mean=float(flat.mean()), std=float(flat.std()))
 
 
 # - Synthetic corpus -

@@ -319,39 +319,41 @@ def build_scorer(model: Model, mel_cfg: MelConfig):
     Returns one positive-class probability per offset, for the windows
     wave.samples[o:o + win]. Each window is featurized exactly like training
     data (log-mel at the window's length; normalized only when the model
-    has stats). When every offset lies a whole number of hops after the
-    first, one log-mel of the span the windows cover is cut into the
-    windows' rows: frames are fully contained (no centre padding), so those
-    rows are each window's own log-mel. Otherwise each window gets its own
-    log-mel. The windows then run as one tape-free batch through forward,
-    with the same bits as score_samples gives a chunk of up to SCORE_BATCH
-    windows, but with the patches freed once embedded.
+    has stats). The offsets are grouped by hop phase (o % hop): each group
+    takes one log-mel of the span its windows cover, and each window's rows
+    are cut from it. Frames are fully contained (no centre padding), so
+    those rows are the window's own log-mel; at a step of whole hops, as
+    the default 0.01 s, a chunk is one group. The windows then run as one
+    tape-free batch through forward, with the same bits as score_samples
+    gives a chunk of up to SCORE_BATCH windows, but with the patches freed
+    once embedded.
     """
     hop = mel_cfg.frame_hop_samples
 
-    def features(samples: np.ndarray, rate: int) -> np.ndarray:
-        spec = log_mel_spectrogram(Waveform(samples=samples, sample_rate=rate), mel_cfg)
-        if model.stats is not None:
-            spec = normalize(spec, model.stats.mean, model.stats.std)
-        return spec.values
-
-    def window_patches(wave: Waveform, offsets: np.ndarray, win: int) -> np.ndarray:
-        samples, rate = wave.samples, wave.sample_rate
-        shifts = offsets - offsets[0]
-        if np.all(shifts % hop == 0):
-            span = features(samples[offsets[0]:offsets[-1] + win], rate)
-            n_frames = frame_count(win, mel_cfg)
-            values = np.stack([span[k:k + n_frames] for k in shifts // hop])
-        else:
-            values = np.stack([features(samples[o:o + win], rate) for o in offsets])
-        patches, _ = patchify(values, model.encoder.cfg.patch_size, model.encoder.cfg.patch_stride)
+    def window_patches(wave: Waveform, offsets: list[int], win: int) -> np.ndarray:
+        n_frames = frame_count(win, mel_cfg)
+        phases: dict[int, list[int]] = {}
+        for o in offsets:
+            phases.setdefault(o % hop, []).append(o)
+        rows = {}
+        for group in phases.values():
+            first = min(group)
+            span = log_mel_spectrogram(Waveform(samples=wave.samples[first:max(group) + win],
+                                                sample_rate=wave.sample_rate), mel_cfg)
+            if model.stats is not None:
+                span = normalize(span, model.stats.mean, model.stats.std)
+            for o in group:
+                k = (o - first) // hop
+                rows[o] = span[k:k + n_frames]
+        patches, _ = patchify(np.stack([rows[o] for o in offsets]),
+                              model.encoder.cfg.patch_size, model.encoder.cfg.patch_stride)
         return patches
 
     def scorer(wave: Waveform, offsets, win: int) -> np.ndarray:
         # One forward, split so that nothing holds the spectrograms or the
         # patches once they are embedded: they are freed before the encoder runs.
         with T.no_grad():
-            seq = embed(window_patches(wave, np.asarray(offsets, dtype=np.intp), win),
+            seq = embed(window_patches(wave, np.asarray(offsets, dtype=np.intp).tolist(), win),
                         model.encoder)
             return T.softmax(forward_tokens(model, seq)).data[:, 1]
 
@@ -450,10 +452,12 @@ class EvalReport:
         }, indent=2, sort_keys=True) + "\n"
 
     def to_csv(self) -> str:
-        lines = ["fold,best_epoch,auroc,pooling,init"]
-        for i, (a, e) in enumerate(zip(self.fold_auroc, self.best_epochs)):
-            lines.append(f"{i},{e},{a:.10g},{self.pooling},{self.init_kind}")
-        lines.append(f"mean,,{self.mean_auroc:.10g},{self.pooling},{self.init_kind}")
+        lines = ["fold,best_epoch,auroc,last_epoch_auroc,pooling,init"]
+        for i, (a, e, last) in enumerate(zip(self.fold_auroc, self.best_epochs,
+                                             self.last_epoch_auroc)):
+            lines.append(f"{i},{e},{a:.10g},{last:.10g},{self.pooling},{self.init_kind}")
+        lines.append(f"mean,,{self.mean_auroc:.10g},{self.mean_last_epoch_auroc:.10g},"
+                     f"{self.pooling},{self.init_kind}")
         return "\n".join(lines) + "\n"
 
 

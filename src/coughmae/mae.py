@@ -14,6 +14,7 @@ boundary windows, and the CLS slot sits in a singleton window of its own.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -41,7 +42,6 @@ class MaskPlan:
     n_patches: int
     masked: tuple[int, ...]
     visible: tuple[int, ...]
-    ratio: float
 
 
 def sample_mask(n_patches: int, ratio: float, rng: np.random.Generator) -> MaskPlan:
@@ -55,7 +55,7 @@ def sample_mask(n_patches: int, ratio: float, rng: np.random.Generator) -> MaskP
     masked = np.sort(perm[:n_masked])
     visible = np.sort(perm[n_masked:])
     return MaskPlan(n_patches=n_patches, masked=tuple(int(i) for i in masked),
-                    visible=tuple(int(i) for i in visible), ratio=ratio)
+                    visible=tuple(int(i) for i in visible))
 
 
 def apply_mask(seq: TokenSequence, plan: MaskPlan) -> TokenSequence:
@@ -233,19 +233,21 @@ def prepare_patches(manifest: DatasetManifest, mel_cfg: MelConfig, target_frames
                     model_cfg: ModelConfig, stats=None) -> tuple[np.ndarray, tuple[int, int], dict]:
     """Feature-extract every manifest entry into one (n, patches, values) array.
 
+    Each log-mel is normalized with stats when given, then cropped or padded
+    to target_frames with silence: ln(log_floor) raw, 0 normalized.
     Returns the stacked patches, the patch grid shape, and the raw
     spectrogram values (pre fit_length) keyed by entry path, for statistics.
     """
     if len(manifest) == 0:
         raise DataError("empty manifest")
+    silence = math.log(mel_cfg.log_floor) if stats is None else 0.0
     fitted = []
     raw_values = {}
     for entry in manifest.entries:
-        spec = spectrogram_for_file(manifest.resolve(entry), mel_cfg)
-        raw_values[entry.path] = spec.values
+        values = raw_values[entry.path] = spectrogram_for_file(manifest.resolve(entry), mel_cfg)
         if stats is not None:
-            spec = normalize(spec, stats.mean, stats.std)
-        fitted.append(fit_length(spec, target_frames, mel_cfg.log_floor).values)
+            values = normalize(values, stats.mean, stats.std)
+        fitted.append(fit_length(values, target_frames, silence))
     patches, grid_shape = patchify(np.stack(fitted), model_cfg.patch_size, model_cfg.patch_stride)
     return patches, grid_shape, raw_values
 

@@ -69,7 +69,7 @@ def test_encode_output_carries_traced_attributes():
     assert tracer.counts["vit.encode.tape_nodes"] > 0
     assert [span[0] for span in tracer.spans].count("vit.encode") == 2
 
-    plan = MaskPlan(n_patches=6, masked=(0, 2, 5), visible=(1, 3, 4), ratio=0.5)
+    plan = MaskPlan(n_patches=6, masked=(0, 2, 5), visible=(1, 3, 4))
     visible = apply_mask(seq, plan)
     out = encode(visible, enc)
     assert visible.tokens.shape == (2, 4, 16)

@@ -228,7 +228,8 @@ def test_finetune_artifacts(finetuned_model, capsys):
     assert len(report["fold_auroc"]) == 2
     assert abs(report["mean_auroc"] - np.mean(report["fold_auroc"])) < 1e-12
     csv_lines = (finetuned_model / "eval_report.csv").read_text().strip().split("\n")
-    assert csv_lines[0] == "fold,best_epoch,auroc,pooling,init"
+    assert csv_lines[0] == "fold,best_epoch,auroc,last_epoch_auroc,pooling,init"
+    assert csv_lines[-1].split(",")[3] == f"{report['mean_last_epoch_auroc']:.10g}"
     assert len(csv_lines) == 1 + 2 + 1
     assert (finetuned_model / "model.bin").exists()
 

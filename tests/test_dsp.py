@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from coughmae.dsp import (DatasetManifest, ManifestEntry, MelConfig,
-                          MelSpectrogram, SynthSpec, Waveform, WavStream, _decode_pcm,
+from coughmae.dsp import (DatasetManifest, DatasetStats, ManifestEntry, MelConfig,
+                          SynthSpec, Waveform, WavStream, _decode_pcm,
                           _piece_span, _resample_kernel, _walk_wav, dataset_stats,
                           fit_length, frame_count, load_manifest, load_wav,
                           log_mel_spectrogram, mel_filterbank, mel_inverse, mel_scale, normalize,
@@ -42,7 +42,7 @@ def band_energy_ratios(manifest: DatasetManifest, mel_cfg: MelConfig,
     ratios: dict[int, list[float]] = {}
     for entry in manifest.entries:
         mel = spectrogram_for_file(manifest.resolve(entry), mel_cfg)
-        value = float(mel.values[:, high_bins].mean() - mel.values[:, low_bins].mean())
+        value = float(mel[:, high_bins].mean() - mel[:, low_bins].mean())
         ratios.setdefault(entry.label, []).append(value)
     return {label: float(np.mean(vals)) for label, vals in ratios.items()}
 
@@ -397,9 +397,8 @@ def test_frame_count_matches_enumeration(length, hop_raw, n):
 
 def test_log_mel_silence():
     spec = log_mel_spectrogram(Waveform(np.zeros(16000), 16000), CFG)
-    assert spec.values.shape == (98, 128)
-    assert np.allclose(spec.values, math.log(1e-10), atol=1e-12)
-    assert not spec.normalized
+    assert spec.shape == (98, 128) and spec.dtype == np.float64
+    assert np.allclose(spec, math.log(1e-10), atol=1e-12)
 
 
 def test_log_mel_tone_hits_filter_center():
@@ -410,7 +409,7 @@ def test_log_mel_tone_hits_filter_center():
         t = np.arange(16000) / 16000
         tone = 0.5 * np.sin(2 * np.pi * centers[idx] * t)
         spec = log_mel_spectrogram(Waveform(tone, 16000), CFG)
-        assert int(np.argmax(spec.values.mean(axis=0))) == idx
+        assert int(np.argmax(spec.mean(axis=0))) == idx
 
 
 def test_log_mel_always_finite():
@@ -418,7 +417,7 @@ def test_log_mel_always_finite():
     for _ in range(5):
         x = np.clip(r.normal(scale=0.3, size=8000), -1, 1)
         spec = log_mel_spectrogram(Waveform(x, 16000), CFG)
-        assert np.all(np.isfinite(spec.values))
+        assert np.all(np.isfinite(spec))
 
 
 def test_log_mel_wrong_rate_rejected():
@@ -428,10 +427,10 @@ def test_log_mel_wrong_rate_rejected():
 
 def test_log_mel_translation_consistency():
     x = np.random.default_rng(2).normal(scale=0.2, size=16000)
-    base = log_mel_spectrogram(Waveform(x, 16000), CFG).values
+    base = log_mel_spectrogram(Waveform(x, 16000), CFG)
     for k in (1, 3):
         delayed = np.concatenate([np.zeros(k * 160), x])
-        shifted = log_mel_spectrogram(Waveform(delayed, 16000), CFG).values
+        shifted = log_mel_spectrogram(Waveform(delayed, 16000), CFG)
         assert np.array_equal(shifted[k:k + base.shape[0]], base)
 
 
@@ -466,30 +465,35 @@ def test_filter_centers_monotone():
 
 
 def test_fit_length_identity():
-    spec = MelSpectrogram(np.random.default_rng(3).normal(size=(98, 128)))
-    out = fit_length(spec, 98)
-    assert np.array_equal(out.values, spec.values)
+    values = np.random.default_rng(3).normal(size=(98, 128))
+    out = fit_length(values, 98, 0.0)
+    assert np.array_equal(out, values)
+    assert not np.shares_memory(out, values)
 
 
 def test_fit_length_crop_keeps_prefix():
-    spec = MelSpectrogram(np.random.default_rng(4).normal(size=(98, 128)))
-    out = fit_length(spec, 48)
-    assert np.array_equal(out.values, spec.values[:48])
+    values = np.random.default_rng(4).normal(size=(98, 128))
+    out = fit_length(values, 48, 0.0)
+    assert np.array_equal(out, values[:48])
+    assert not np.shares_memory(out, values)
 
 
 def test_fit_length_pad_raw_uses_log_floor():
-    spec = MelSpectrogram(np.random.default_rng(5).normal(size=(98, 128)))
-    out = fit_length(spec, 112)
-    assert out.values.shape == (112, 128)
-    assert np.array_equal(out.values[:98], spec.values)
-    assert np.all(out.values[98:] == math.log(1e-10))
+    values = np.random.default_rng(5).normal(size=(98, 128))
+    out = fit_length(values, 112, math.log(CFG.log_floor))
+    assert out.shape == (112, 128)
+    assert np.array_equal(out[:98], values)
+    assert np.all(out[98:] == math.log(1e-10))
 
 
 def test_fit_length_pad_normalized_uses_zero():
-    spec = MelSpectrogram(np.zeros((10, 128)), normalized=True)
-    out = fit_length(spec, 12)
-    assert np.all(out.values[10:] == 0.0)
-    assert out.normalized
+    out = fit_length(np.ones((10, 128)), 12, 0.0)
+    assert np.all(out[:10] == 1.0) and np.all(out[10:] == 0.0)
+
+
+def test_fit_length_rejects_non_positive_target():
+    with pytest.raises(AudioError):
+        fit_length(np.zeros((4, 2)), 0, 0.0)
 
 
 # - statistics and normalization -
@@ -498,6 +502,7 @@ def test_fit_length_pad_normalized_uses_zero():
 def test_stats_constant_dataset_degenerate():
     s = stats_from_values({"a.wav": np.full((4, 4), 2.0)})
     assert s.mean == 2.0 and s.std == 0.0 and s.degenerate
+    assert s == DatasetStats(mean=2.0, std=0.0)
 
 
 def test_stats_small_example():
@@ -530,33 +535,23 @@ def test_dataset_stats_order_invariant(tmp_path):
 
 
 def test_normalize_identity_params():
-    spec = MelSpectrogram(np.array([[0.0, 1.0]]))
-    out = normalize(spec, 0.0, 1.0)
-    assert np.array_equal(out.values, spec.values)
-    assert out.normalized
+    values = np.array([[0.0, 1.0]])
+    assert np.array_equal(normalize(values, 0.0, 1.0), values)
 
 
 def test_normalize_example():
-    out = normalize(MelSpectrogram(np.array([[2.0, 4.0]])), 3.0, 1.0)
-    assert np.array_equal(out.values, [[-1.0, 1.0]])
-
-
-def test_normalize_twice_errors():
-    spec = normalize(MelSpectrogram(np.array([[2.0, 4.0]])), 3.0, 1.0)
-    with pytest.raises(NumericsError):
-        normalize(spec, 3.0, 1.0)
+    assert np.array_equal(normalize(np.array([[2.0, 4.0]]), 3.0, 1.0), [[-1.0, 1.0]])
 
 
 def test_normalize_bad_std_errors():
     with pytest.raises(NumericsError):
-        normalize(MelSpectrogram(np.array([[1.0]])), 0.0, 0.0)
+        normalize(np.array([[1.0]]), 0.0, 0.0)
 
 
 def test_normalize_values_exact():
     values = np.random.default_rng(7).normal(loc=-5, scale=4, size=(20, 30))
-    out = normalize(MelSpectrogram(values), -5.0, 4.0)
-    assert out.normalized
-    assert out.values.tobytes() == ((values - -5.0) / 4.0).tobytes()
+    out = normalize(values, -5.0, 4.0)
+    assert out.tobytes() == ((values - -5.0) / 4.0).tobytes()
 
 
 # - synthetic corpus -

@@ -431,7 +431,7 @@ def test_cross_validate_report(small_task):
     json_text = report.to_json()
     csv_text = report.to_csv()
     assert '"mean_auroc"' in json_text
-    assert csv_text.startswith("fold,best_epoch,auroc,pooling,init")
+    assert csv_text.startswith("fold,best_epoch,auroc,last_epoch_auroc,pooling,init")
     assert csv_text.count("\n") == 4 + 2   # header + folds + mean row
 
 
@@ -628,6 +628,7 @@ def test_cross_validate_final_model_is_job_k(cpus):
 
 
 def test_eval_report_csv_mean_row():
-    report = EvalReport(pooling="cls", curves=[[0.5], [0.25, 1.0]], init_kind="scratch")
+    report = EvalReport(pooling="cls", curves=[[0.5], [1.0, 0.25]], init_kind="scratch")
     lines = report.to_csv().strip().split("\n")
-    assert lines[-1].startswith("mean,,0.75")
+    assert lines[1:] == ["0,0,0.5,0.5,cls,scratch", "1,0,1,0.25,cls,scratch",
+                         "mean,,0.75,0.375,cls,scratch"]

@@ -65,7 +65,7 @@ def token_seq(n, dim=6, batch=1):
 
 def test_apply_mask_keeps_cls_and_visible_order():
     seq = token_seq(4)
-    plan = MaskPlan(n_patches=4, masked=(1, 3), visible=(0, 2), ratio=0.5)
+    plan = MaskPlan(n_patches=4, masked=(1, 3), visible=(0, 2))
     out = apply_mask(seq, plan)
     # rows: CLS (=0), p0 (=1), p2 (=3)
     assert np.array_equal(out.tokens.data[0, :, 0], [0.0, 1.0, 3.0])
@@ -74,14 +74,14 @@ def test_apply_mask_keeps_cls_and_visible_order():
 
 def test_apply_mask_identity_when_nothing_masked():
     seq = token_seq(4)
-    plan = MaskPlan(n_patches=4, masked=(), visible=(0, 1, 2, 3), ratio=0.0)
+    plan = MaskPlan(n_patches=4, masked=(), visible=(0, 1, 2, 3))
     out = apply_mask(seq, plan)
     assert np.array_equal(out.tokens.data, seq.tokens.data)
 
 
 def test_apply_mask_count_mismatch():
     seq = token_seq(4)
-    plan = MaskPlan(n_patches=5, masked=(1,), visible=(0, 2, 3, 4), ratio=0.2)
+    plan = MaskPlan(n_patches=5, masked=(1,), visible=(0, 2, 3, 4))
     with pytest.raises(ShapeError):
         apply_mask(seq, plan)
 
@@ -92,7 +92,7 @@ def test_apply_mask_count_mismatch():
 def test_restore_places_features_and_mask_tokens():
     cfg = ModelConfig(dim=8, n_heads=2, decoder_dim=8, decoder_heads=2)
     dec = DecoderParams(cfg, seed=1)
-    plan = MaskPlan(n_patches=4, masked=(1, 3), visible=(0, 2), ratio=0.5)
+    plan = MaskPlan(n_patches=4, masked=(1, 3), visible=(0, 2))
     feats = np.zeros((1, 3, 8))
     feats[0, 0] = 100.0   # CLS
     feats[0, 1] = 10.0    # patch 0
@@ -113,7 +113,7 @@ def test_restore_places_features_and_mask_tokens():
 def test_restore_identity_when_nothing_masked():
     cfg = ModelConfig(dim=8, n_heads=2, decoder_dim=8, decoder_heads=2)
     dec = DecoderParams(cfg, seed=1)
-    plan = MaskPlan(n_patches=3, masked=(), visible=(0, 1, 2), ratio=0.0)
+    plan = MaskPlan(n_patches=3, masked=(), visible=(0, 1, 2))
     feats = np.random.default_rng(0).normal(size=(1, 4, 8))
     restored = restore_with_mask_tokens(
         TokenSequence(Tensor(feats)), plan, dec)
@@ -140,7 +140,7 @@ def test_restore_roundtrips_apply_mask():
 def test_restore_length_mismatch():
     cfg = ModelConfig(dim=8, n_heads=2, decoder_dim=8, decoder_heads=2)
     dec = DecoderParams(cfg, seed=1)
-    plan = MaskPlan(n_patches=4, masked=(1, 3), visible=(0, 2), ratio=0.5)
+    plan = MaskPlan(n_patches=4, masked=(1, 3), visible=(0, 2))
     feats = TokenSequence(Tensor(np.zeros((1, 4, 8))))
     with pytest.raises(ShapeError):
         restore_with_mask_tokens(feats, plan, dec)
@@ -262,21 +262,21 @@ def test_patch_norm_statistics():
 
 def test_masked_mse_zero_when_exact():
     targets = np.random.default_rng(1).normal(size=(2, 4, 16))
-    plan = MaskPlan(n_patches=4, masked=(1, 3), visible=(0, 2), ratio=0.5)
+    plan = MaskPlan(n_patches=4, masked=(1, 3), visible=(0, 2))
     loss = masked_mse(Tensor(targets), targets, plan)
     assert loss.item() == 0.0
 
 
 def test_masked_mse_constant_offset():
     targets = np.random.default_rng(2).normal(size=(2, 4, 16))
-    plan = MaskPlan(n_patches=4, masked=(1, 3), visible=(0, 2), ratio=0.5)
+    plan = MaskPlan(n_patches=4, masked=(1, 3), visible=(0, 2))
     loss = masked_mse(Tensor(targets + 0.5), targets, plan)
     assert loss.item() == pytest.approx(0.25, rel=1e-14)
 
 
 def test_masked_mse_ignores_visible_slots_exactly():
     targets = np.random.default_rng(3).normal(size=(1, 6, 8))
-    plan = MaskPlan(n_patches=6, masked=(0, 4), visible=(1, 2, 3, 5), ratio=1 / 3)
+    plan = MaskPlan(n_patches=6, masked=(0, 4), visible=(1, 2, 3, 5))
     pred = targets + np.random.default_rng(4).normal(size=targets.shape)
     base = masked_mse(Tensor(pred), targets, plan).item()
     tampered = pred.copy()
@@ -286,14 +286,14 @@ def test_masked_mse_ignores_visible_slots_exactly():
 
 def test_masked_mse_rejects_empty_mask():
     targets = np.zeros((1, 4, 8))
-    plan = MaskPlan(n_patches=4, masked=(), visible=(0, 1, 2, 3), ratio=0.0)
+    plan = MaskPlan(n_patches=4, masked=(), visible=(0, 1, 2, 3))
     with pytest.raises(NumericsError):
         masked_mse(Tensor(targets), targets, plan)
 
 
 def test_masked_mse_count_mismatch():
     targets = np.zeros((1, 4, 8))
-    plan = MaskPlan(n_patches=5, masked=(1,), visible=(0, 2, 3, 4), ratio=0.2)
+    plan = MaskPlan(n_patches=5, masked=(1,), visible=(0, 2, 3, 4))
     with pytest.raises(ShapeError):
         masked_mse(Tensor(targets), targets, plan)
 

@@ -4,9 +4,9 @@ import time
 import numpy as np
 import pytest
 
-from coughmae import workers
-from coughmae.dsp import (MelConfig, Waveform, WavStream, load_wav, log_mel_spectrogram,
-                          normalize, stats_from_values, synth_dataset)
+from coughmae import finetune, workers
+from coughmae.dsp import (DatasetStats, MelConfig, Waveform, WavStream, load_wav,
+                          log_mel_spectrogram, normalize, stats_from_values, synth_dataset)
 from coughmae.errors import DataError
 from coughmae.finetune import (N_CLASSES, FinetuneConfig, Model, build_scorer,
                                finetune_arrays, score_samples)
@@ -297,7 +297,7 @@ def trained_scorer(tmp_path_factory):
     def window_prob(window: Waveform) -> float:
         """The per-window path: one log-mel and one batch-1 forward per window."""
         spec = normalize(log_mel_spectrogram(window, mel_cfg), stats.mean, stats.std)
-        patches, _ = patchify(spec.values[None], 16, 16)
+        patches, _ = patchify(spec[None], 16, 16)
         return float(score_samples(patches, model)[0])
 
     clips = [load_wav(manifest.resolve(e)).samples for e in manifest.entries[:6]]
@@ -327,13 +327,53 @@ def test_batched_scorer_matches_per_window(trained_scorer, n_windows):
 
 
 def test_batched_scorer_off_hop_step(trained_scorer):
-    """A step that is no whole number of hops scores each window's own log-mel."""
+    """Offsets in different hop phases each get the rows of a log-mel of
+    their own phase, and score as each window's own log-mel does."""
     batched, reference, recording = trained_scorer
     offsets = np.array([0, 100, 250, 330])          # hop is 160 samples
     got = batched(recording, offsets, 6400)
     assert np.max(np.abs(got - reference(recording, offsets, 6400))) <= 1e-12
     cfg = SegmentationConfig(step=0.0125)           # 200 samples
     assert slide(recording, batched, cfg) == slide(recording, reference, cfg)
+
+
+@pytest.mark.parametrize("step", [80, 100, 160, 200, 240, 1600])
+def test_scorer_features_are_each_windows_own_log_mel(trained_scorer, step, monkeypatch):
+    """For chunks of 1 to SCORE_CHUNK windows, the rows build_scorer cuts
+    from one log-mel per hop phase are, byte for byte, each window's own
+    normalized log-mel."""
+    _, _, recording = trained_scorer
+    mel_cfg, win = MelConfig(), 6400
+    stats = DatasetStats(mean=-9.0, std=3.5)
+    model_cfg = ModelConfig(dim=16, n_heads=2, n_blocks=1, decoder_dim=16,
+                            decoder_heads=2, decoder_blocks=1)
+    model = Model(encoder=EncoderParams(model_cfg, seed=0),
+                  head=LinearParams("head", model_cfg.dim, N_CLASSES, seed=0),
+                  pooling="mean", stats=stats)
+    fed, spans = [], []
+
+    def fed_patchify(values, *args):
+        fed.append(values)
+        return patchify(values, *args)
+
+    def span_log_mel(wave, cfg):
+        spans.append(len(wave.samples))
+        return log_mel_spectrogram(wave, cfg)
+
+    monkeypatch.setattr(finetune, "patchify", fed_patchify)
+    monkeypatch.setattr(finetune, "log_mel_spectrogram", span_log_mel)
+    scorer = build_scorer(model, mel_cfg)
+    for n in range(1, SCORE_CHUNK + 1):
+        offsets = 37 + step * np.arange(n)
+        fed.clear()
+        spans.clear()
+        scorer(recording, offsets, win)
+        want = np.stack([normalize(log_mel_spectrogram(
+            Waveform(recording.samples[o:o + win], recording.sample_rate), mel_cfg),
+            stats.mean, stats.std) for o in offsets.tolist()])
+        assert len(fed) == 1 and fed[0].shape == want.shape
+        assert fed[0].tobytes() == want.tobytes()
+        assert len(spans) == len({o % mel_cfg.frame_hop_samples for o in offsets.tolist()})
 
 
 def test_batched_scorer_short_audio(trained_scorer):
