@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Ablation sweep: mask ratio x decoder attention x pooling.
 
-Pretrains one model per (mask_ratio, attention) cell, then fine-tunes each
-checkpoint with both pooling modes under stratified cross-validation, and
-writes a results CSV plus the raw loss curves. The CSV gives each cell's
-mean best-epoch AUROC (the epoch picked on the fold it is reported on) and
-its mean last-epoch AUROC. Without --manifest a
-synthetic labelled corpus is generated first.
+Sweeps acceptance criterion 6's grid (ABLATION_GRID in
+tests/test_acceptance.py). Pretrains one model per (mask_ratio, attention)
+cell, then fine-tunes each checkpoint with both pooling modes under
+stratified cross-validation, and writes a results CSV plus the raw loss
+curves. The CSV gives each cell's mean best-epoch AUROC (the epoch picked
+on the fold it is reported on) and its mean last-epoch AUROC. Without
+--manifest a synthetic labelled corpus is generated first.
 
 Typical desk-scale run:
     python3 scripts/run_ablation.py --out runs/ablation --n 32 \
@@ -20,17 +21,15 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from coughmae.checkpoint import load_checkpoint
 from coughmae.dsp import MelConfig, load_manifest, synth_dataset
 from coughmae.finetune import FinetuneConfig, cross_validate, prepare_finetune
 from coughmae.mae import PretrainConfig, pretrain
 from coughmae.vit import ModelConfig
-
-MASK_RATIOS = (0.5, 0.75)
-ATTENTIONS = ("global", "windowed")
-POOLINGS = ("cls", "mean")
+from test_acceptance import ABLATION_GRID
 
 
 def log(msg: str) -> None:
@@ -61,9 +60,9 @@ def main() -> int:
     ft_cfg = FinetuneConfig(epochs=args.finetune_epochs, k_folds=args.k_folds)
     rows = ["mask_ratio,attention,pooling,mean_auroc,mean_last_epoch_auroc,final_pretrain_loss"]
     curves: dict[str, list] = {}
-
-    for rho in MASK_RATIOS:
-        for attn in ATTENTIONS:
+    ratios, attentions, poolings = ABLATION_GRID
+    for rho in ratios:
+        for attn in attentions:
             cell = f"rho{rho}_{attn}"
             pre_dir = out / cell
             log(f"pretraining {cell}")
@@ -75,7 +74,7 @@ def main() -> int:
             curves[cell] = [h["loss"] for h in result.history]
             data = prepare_finetune(load_checkpoint(pre_dir / "checkpoint.bin"), manifest,
                                     mel_cfg, model_cfg, ft_cfg)
-            for pooling in POOLINGS:
+            for pooling in poolings:
                 log(f"fine-tuning {cell} pooling={pooling}")
                 report = cross_validate(data, replace(ft_cfg, pooling=pooling), args.seed)
                 rows.append(f"{rho},{attn},{pooling},{report.mean_auroc:.6f},"

@@ -3,9 +3,9 @@
 Subcommands: pretrain, finetune, segment, synth-data, grad-check, stats,
 show-config.
 Exit codes: 0 on success, 1 for internal or numeric failures, 2 for usage
-and input errors. Progress goes to stderr; artifacts land in the configured
-output directory and are byte-identical across reruns with the same config
-and seed (log lines are the only place timestamps may appear).
+and input errors, 130 on Ctrl-C. Progress goes to stderr; artifacts land in
+the configured output directory and are byte-identical across reruns with
+the same config and seed (log lines are the only place timestamps may appear).
 """
 from __future__ import annotations
 
@@ -44,10 +44,20 @@ def _require_manifest(cfg: RunConfig):
     return load_manifest(cfg.paths.manifest)
 
 
+def _output_dir(cfg: RunConfig) -> Path:
+    """paths.output_dir, created if missing; a ConfigError naming it if that fails."""
+    out_dir = Path(cfg.paths.output_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"paths.output_dir {out_dir}: {exc.strerror}") from None
+    return out_dir
+
+
 def cmd_pretrain(args) -> int:
     cfg = _load_run_config(args)
     manifest = _require_manifest(cfg)
-    out_dir = Path(cfg.paths.output_dir)
+    out_dir = _output_dir(cfg)
     result = pretrain(manifest, cfg.mel, cfg.model, cfg.pretrain, cfg.seed,
                       out_dir=out_dir, log=_log)
     _log(f"final loss {result.history[-1]['loss']:.6f}")
@@ -58,8 +68,7 @@ def cmd_pretrain(args) -> int:
 def cmd_finetune(args) -> int:
     cfg = _load_run_config(args)
     manifest = _require_manifest(cfg)
-    out_dir = Path(cfg.paths.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(cfg)
 
     init_arg = args.init or (cfg.paths.checkpoint or "scratch")
     ckpt = None if init_arg == "scratch" else load_checkpoint(init_arg)
@@ -98,11 +107,10 @@ def cmd_segment(args) -> int:
     if model.head is None:
         raise DataError("checkpoint has no classifier head; fine-tune first")
     scorer = build_scorer(model, cfg.mel)
+    out_dir = _output_dir(cfg)
     audio = WavStream(args.audio, cfg.mel.target_rate)
     pin_malloc_thresholds(*MALLOC_THRESHOLDS)
     events = slide(audio, scorer, cfg.segment)
-    out_dir = Path(cfg.paths.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     events_path = out_dir / "events.csv"
     write_events_csv(events_path, events)
     _log(f"{len(events)} events -> {events_path}")
@@ -222,12 +230,12 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (ConfigError, DataError, AudioError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except CoughMaeError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (ConfigError, DataError, AudioError)) else 1
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

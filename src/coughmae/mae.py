@@ -32,7 +32,7 @@ from .tensor import Parameter, Tensor
 from .vit import (BlockParams, EncoderParams, LinearParams, ModelConfig,
                   TokenSequence, embed, encode, init_param, patchify,
                   sinusoidal_positions, transformer_block)
-from .workers import on_worker
+from .workers import in_order
 
 
 @dataclass(frozen=True)
@@ -273,8 +273,10 @@ def pretrain(manifest: DatasetManifest, mel_cfg: MelConfig, model_cfg: ModelConf
     Spectrograms stay unnormalized; dataset statistics are computed anyway
     and stored in the checkpoint for downstream fine-tuning. When out_dir is
     given, the latest checkpoint is rewritten each epoch and the loss history
-    lands next to it as loss.csv. Each epoch runs on a worker thread (see
-    workers.on_worker); log is called from the caller's thread.
+    lands next to it as loss.csv. One pool thread runs every epoch in order
+    and keeps one heap (see workers.in_order); it also calls log and writes
+    the epoch's files. A failed epoch stops the rest, and an interrupt waits
+    for the running one only.
     """
     patches, grid_shape, raw_values = prepare_patches(manifest, mel_cfg,
                                                       cfg.target_frames, model_cfg)
@@ -317,11 +319,6 @@ def pretrain(manifest: DatasetManifest, mel_cfg: MelConfig, model_cfg: ModelConf
             del loss                    # the step's tape, freed before the next forward
             opt.step(lr=lr)
             history.append({"step": step, "epoch": epoch, "lr": lr, "loss": value})
-
-    for epoch in range(cfg.epochs):
-        # One pool thread per epoch, for the heap (see on_worker): an
-        # interrupt then waits for the running epoch only.
-        on_worker(lambda: train_epoch(epoch))
         if log is not None:
             log(f"epoch {epoch + 1}/{cfg.epochs} loss {history[-1]['loss']:.6f} "
                 f"({time.monotonic() - started:.1f}s)")
@@ -329,6 +326,10 @@ def pretrain(manifest: DatasetManifest, mel_cfg: MelConfig, model_cfg: ModelConf
             save_model(out_dir / "checkpoint.bin", params, stats, "pretrain", seed,
                        mel_cfg, model_cfg, pretrain=cfg)
             write_loss_csv(out_dir / "loss.csv", history)
+
+    with in_order(train_epoch, range(cfg.epochs), 1) as results:
+        for _ in results:
+            pass
     return PretrainResult(encoder=encoder, decoder=decoder, stats=stats, history=history)
 
 

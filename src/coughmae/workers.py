@@ -1,9 +1,9 @@
 """Ordered worker threads for independent jobs, with OpenBLAS at one thread.
 
 Segmentation scores chunks of windows and cross-validation trains folds,
-and the final fine-tuning model beside the last fold, this way; each
-pretraining epoch runs on one such thread. The jobs are numpy ufuncs and
-small GEMMs that release the GIL, so W = min(usable CPUs, MAX_WORKERS)
+and the final fine-tuning model beside the last fold, this way; pretraining
+runs every epoch, in order, on one such thread. The jobs are numpy ufuncs
+and small GEMMs that release the GIL, so W = min(usable CPUs, MAX_WORKERS)
 threads keep W cores busy. OpenBLAS is held to one thread while they run:
 between small GEMMs a second OpenBLAS thread only busy-waits on a core a
 worker needs. Results are bit-identical to running the jobs one after
@@ -13,9 +13,9 @@ single-threaded kernels.
 `in_order` counts the jobs it is running. While that count leaves a core
 free, `split_halves` lends it to elementwise work: the caller computes the
 first half of a flattened array and one helper thread the second half.
-Pretraining, which runs as one job, thus puts GELU's forward on both cores;
-two fold or chunk workers on a 2-core box leave no core free, so they do
-not split. The split also needs an idle helper and an array of
+Pretraining, which runs one epoch at a time, thus puts GELU's forward on
+both cores; two fold or chunk workers on a 2-core box leave no core free,
+so they do not split. The split also needs an idle helper and an array of
 MIN_SPLIT_SIZE elements or more; otherwise the caller computes the whole
 array. The halves write disjoint slices with the same ufuncs, so the bits
 do not depend on the split. GELU's forward, its one user, calls np.power
@@ -130,15 +130,8 @@ def pin_malloc_thresholds(mmap_bytes: int, trim_bytes: int) -> None:
 
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Hold OpenBLAS to one thread inside the block, then restore its count.
-
-    Without OpenBLAS this is a no-op.
-    """
-    threads = openblas_threads()
-    if threads is None:
-        yield
-        return
-    get, set_ = threads
+    """Hold OpenBLAS, if numpy uses it, to one thread inside the block."""
+    get, set_ = openblas_threads() or (lambda: None, lambda threads: None)
     previous = get()
     set_(1)
     try:
@@ -155,18 +148,29 @@ def in_order(fn: Callable, items: Iterable, workers: int) -> Iterator[Iterator]:
     caller's thread, with OpenBLAS held to one thread. At most `workers`
     items are taken ahead of the one being consumed, so memory does not
     grow with the number of items. An error raised by fn surfaces at its
-    own item. Leaving the block, also by an error or an interrupt, cancels
-    the calls not yet started, waits for the running ones and restores the
-    OpenBLAS thread count.
+    own item, and no call starts after it (calls start in item order).
+    Leaving the block, also by an error or an interrupt, cancels the calls
+    not yet started, waits for the running ones and restores the OpenBLAS
+    thread count. The threads live as long as the block, for their heap
+    (glibc 2.36): a tape freed after a training step stays in a pool
+    thread's heap for the next step, where on the main thread glibc trims
+    the heap after every step and the next step faults it back in.
     """
     from concurrent.futures import ThreadPoolExecutor
 
+    stop = threading.Event()               # set by a failed call or by leaving the block
+
     def job(item):
         global _jobs_running
+        if stop.is_set():
+            return None                    # never consumed: an earlier item raises
         with _jobs_lock:
             _jobs_running += 1
         try:
             return fn(item)
+        except BaseException:
+            stop.set()
+            raise
         finally:
             with _jobs_lock:
                 _jobs_running -= 1
@@ -186,21 +190,8 @@ def in_order(fn: Callable, items: Iterable, workers: int) -> Iterator[Iterator]:
         try:
             yield results(pool)
         finally:
+            stop.set()
             pool.shutdown(wait=True, cancel_futures=True)
-
-
-def on_worker(fn: Callable[[], object]):
-    """fn() on one pool thread with OpenBLAS at one thread: its result or its error.
-
-    Training runs here rather than in the caller's thread for its memory
-    (measured on glibc 2.36). A pool thread started after others have
-    exited mostly reuses the heap they freed, as glibc hands it one of
-    their malloc arenas. And a tape freed after each step stays in a pool
-    thread's heap for the next step, where on the main thread glibc trims
-    the heap after every step and the next step faults it back in.
-    """
-    with in_order(lambda _: fn(), [None], 1) as results:
-        return next(results)[1]
 
 
 @functools.cache

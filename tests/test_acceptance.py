@@ -212,12 +212,18 @@ def test_criterion_5_pretraining_utility(tmp_path):
 # 6. Ablation machinery ------------------------------------------------------
 
 
+# Mask ratios x decoder attentions x poolings; scripts/run_ablation.py
+# sweeps the same grid.
+ABLATION_GRID = ((0.5, 0.75), ("global", "windowed"), ("cls", "mean"))
+
+
 def ablation_matrix(manifest: DatasetManifest, out_root: Path) -> dict:
     """Train every (mask ratio, attention, pooling) config; return loss curves."""
     curves = {}
     n = len(manifest)
-    for rho in (0.5, 0.75):
-        for attn in ("global", "windowed"):
+    ratios, attentions, poolings = ABLATION_GRID
+    for rho in ratios:
+        for attn in attentions:
             pre_dir = out_root / f"rho{rho}_{attn}"
             res = pretrain(manifest, MelConfig(), ModelConfig(),
                            PretrainConfig(mask_ratio=rho, decoder_attention=attn,
@@ -225,7 +231,7 @@ def ablation_matrix(manifest: DatasetManifest, out_root: Path) -> dict:
                            seed=11, out_dir=pre_dir)
             pre_curve = tuple(h["loss"] for h in res.history)
             ckpt = load_checkpoint(pre_dir / "checkpoint.bin")
-            for pooling in ("cls", "mean"):
+            for pooling in poolings:
                 ft_cfg = FinetuneConfig(epochs=2, batch_size=4, pooling=pooling)
                 data = prepare_finetune(ckpt, manifest, MelConfig(), ModelConfig(), ft_cfg)
                 r = data.run(np.arange(n), np.arange(n), ft_cfg, seed=11)

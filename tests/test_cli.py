@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 import coughmae
+import coughmae.cli
+import coughmae.dsp
 import coughmae.finetune
 import coughmae.mae
 from coughmae.checkpoint import load_checkpoint, save_checkpoint
@@ -19,7 +21,7 @@ from coughmae.dsp import load_manifest
 from coughmae.errors import DataError
 from coughmae.finetune import load_model, prepare_finetune
 from coughmae.mae import prepare_patches
-from coughmae.workers import on_worker
+from coughmae.workers import in_order
 from test_checkpoint import MALFORMED, write_with_digest
 
 
@@ -486,8 +488,9 @@ def test_final_model_is_the_folds_recipe_on_every_sample(pretrained, corpus, cap
     cfg = load_config(cfg_path)
     data = prepare_finetune(load_checkpoint(pretrained), load_manifest(corpus), cfg.mel,
                             cfg.model, cfg.finetune)
-    want = on_worker(lambda: data.run(np.arange(len(data.labels)), None, cfg.finetune,
-                                      cfg.seed)).model
+    with in_order(lambda idx: data.run(idx, None, cfg.finetune, cfg.seed).model,
+                  [np.arange(len(data.labels))], 1) as results:
+        [(_, want)] = results
     stored = load_checkpoint(tmp_path / "ft" / "model.bin")
     assert {name: a.tobytes() for name, a in stored.arrays.items()} == \
         {p.name: p.data.tobytes() for p in want.parameters()}
@@ -542,6 +545,41 @@ def test_stats_sidecar_matches_checkpoint_for_permuted_manifest(capsys, tmp_path
     sidecar = json.loads(Path(str(permuted) + ".stats.json").read_text())
     stored = load_checkpoint(tmp_path / "pre" / "checkpoint.bin").stats
     assert (sidecar["mean"], sidecar["std"]) == (stored["mean"], stored["std"])
+
+
+@pytest.mark.parametrize("command", ["pretrain", "finetune", "segment"])
+def test_unusable_output_dir_exit_2_before_audio(command, finetuned_model, corpus, capsys,
+                                                 tmp_path, monkeypatch):
+    """An output_dir under a regular file is named in a usage error before
+    the command reads any audio."""
+    wav = sorted(corpus.parent.glob("*.wav"))[0]
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out_dir = blocker / "out"
+
+    def no_audio(path, *args):
+        raise AssertionError(f"read {path}")
+
+    monkeypatch.setattr(coughmae.dsp, "WavStream", no_audio)
+    monkeypatch.setattr(coughmae.cli, "WavStream", no_audio)
+    cfg = write_config(tmp_path / "run.json", model=SMALL_MODEL,
+                       paths={"manifest": str(corpus), "output_dir": str(out_dir)})
+    extra = {"pretrain": [], "finetune": ["--init", "scratch"],
+             "segment": ["--audio", str(wav), "--checkpoint", str(finetuned_model / "model.bin")]}
+    code, out, err = run_cli(capsys, command, "--config", str(cfg), *extra[command])
+    assert code == 2
+    assert f"error: paths.output_dir {out_dir}: " in err
+    assert out == "" and "Traceback" not in err
+
+
+def test_interrupt_exits_130_without_traceback(capsys, monkeypatch):
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(coughmae.cli, "cmd_show_config", interrupted)
+    code, out, err = run_cli(capsys, "show-config")
+    assert code == 130
+    assert (out, err) == ("", "interrupted\n")
 
 
 def test_segment_needs_checkpoint(capsys, tmp_path, corpus):

@@ -1,9 +1,12 @@
 """Masking, restore bookkeeping, decoder windows, and the masked loss."""
+import threading
+
 import numpy as np
 import pytest
 
+import coughmae.mae as mae_module
 import coughmae.tensor as T
-from coughmae.dsp import MelConfig
+from coughmae.dsp import MelConfig, synth_dataset
 from coughmae.errors import ConfigError, NumericsError, ShapeError
 from coughmae.mae import (DecoderParams, MaskPlan, PretrainConfig,
                           apply_mask, decode, masked_mse,
@@ -366,3 +369,47 @@ def test_pretrain_rejects_mask_that_rounds_to_zero(tmp_path):
     cfg = PretrainConfig(mask_ratio=0.005, epochs=1, batch_size=2)
     with pytest.raises(ConfigError):
         pretrain(manifest, MelConfig(), ModelConfig(), cfg, seed=0)
+
+
+def test_pretrain_runs_every_epoch_on_one_pool_thread(tmp_path, monkeypatch):
+    """One thread, not the caller's, runs every step and log line. Thread
+    objects are compared, not idents, which the OS reuses."""
+    manifest = synth_dataset(tmp_path, 4, seed=11)
+    step_threads, log_threads = [], []
+    step_loss = mae_module.pretrain_step_loss
+
+    def recording(*args, **kwargs):
+        step_threads.append(threading.current_thread())
+        return step_loss(*args, **kwargs)
+
+    monkeypatch.setattr(mae_module, "pretrain_step_loss", recording)
+    pretrain(manifest, MelConfig(), ModelConfig(), PretrainConfig(epochs=3, batch_size=2),
+             seed=5, log=lambda _: log_threads.append(threading.current_thread()))
+    assert len(step_threads) == 3 * 2 and len(log_threads) == 3
+    assert len(set(step_threads + log_threads)) == 1
+    assert step_threads[0] is not threading.current_thread()
+
+
+def test_pretrain_stops_at_a_non_finite_loss(tmp_path, monkeypatch):
+    """A NaN loss in epoch 1 of 3 runs no later step, and checkpoint.bin and
+    loss.csv stay what epoch 0 saved."""
+    manifest = synth_dataset(tmp_path / "data", 4, seed=11)
+    out = tmp_path / "out"
+    names = ("checkpoint.bin", "loss.csv")
+    steps, saved = [], {}
+    step_loss = mae_module.pretrain_step_loss
+
+    def nan_at_step_3(*args, **kwargs):
+        steps.append(len(steps))
+        if steps[-1] == 2:                 # epoch 1 starts; epoch 0's files are on disk
+            saved.update({name: (out / name).read_bytes() for name in names})
+        loss = step_loss(*args, **kwargs)
+        return Tensor(np.nan) if steps[-1] == 3 else loss
+
+    monkeypatch.setattr(mae_module, "pretrain_step_loss", nan_at_step_3)
+    with pytest.raises(NumericsError, match="at step 3"):
+        pretrain(manifest, MelConfig(), ModelConfig(), PretrainConfig(epochs=3, batch_size=2),
+                 seed=5, out_dir=out)
+    assert steps == [0, 1, 2, 3]
+    assert {name: (out / name).read_bytes() for name in names} == saved
+    assert saved["loss.csv"].decode().splitlines()[-1].startswith("1,0,")
