@@ -23,7 +23,7 @@ from .errors import AudioError, ConfigError, CoughMaeError, DataError
 from .finetune import build_scorer, cross_validate, load_model, prepare_finetune
 from .mae import pretrain
 from .segment import (MALLOC_THRESHOLDS, event_f1, read_events_csv, sample_f1, slide,
-                      write_events_csv)
+                      window_grid, write_events_csv)
 from .workers import pin_malloc_thresholds
 
 
@@ -96,8 +96,10 @@ def cmd_segment(args) -> int:
     The WAV is read block by block through a dsp.WavStream, so memory does
     not grow with the recording. glibc's malloc thresholds are pinned
     (segment.MALLOC_THRESHOLDS) before scoring; the setting lasts for the
-    rest of the process. With --truth, sample F1 takes the duration from
-    the WAV header.
+    rest of the process. The closing log line gives the windows scored and
+    the wall and process CPU seconds slide took; CPU over wall is how many
+    cores the scoring workers kept busy. With --truth, sample F1 takes the
+    duration from the WAV header.
     """
     cfg = _load_run_config(args)
     ckpt_path = args.checkpoint or cfg.paths.checkpoint
@@ -110,10 +112,13 @@ def cmd_segment(args) -> int:
     out_dir = _output_dir(cfg)
     audio = WavStream(args.audio, cfg.mel.target_rate)
     pin_malloc_thresholds(*MALLOC_THRESHOLDS)
+    wall, cpu = time.perf_counter(), time.process_time()
     events = slide(audio, scorer, cfg.segment)
+    wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
     events_path = out_dir / "events.csv"
     write_events_csv(events_path, events)
-    _log(f"{len(events)} events -> {events_path}")
+    _log(f"{len(events)} events -> {events_path}; {window_grid(audio, cfg.segment)[2]} windows "
+         f"scored in {wall:.2f} s wall, {cpu:.2f} s CPU")
     if args.truth:
         truth = read_events_csv(args.truth)
         ev = event_f1(events, truth, cfg.segment)

@@ -114,16 +114,32 @@ def forward(model: Model, patches: np.ndarray) -> Tensor:
     """The two logits (batch, 2) of each sample in a stacked patch array.
 
     embed, encode, pool, head: the one forward of training, validation and
-    segmentation. Under CLS pooling the encoder runs its last block for the
-    CLS rows only (vit.encode's cls_only).
+    segmentation (validation and segmentation through probabilities). Under
+    CLS pooling the encoder runs its last block for the CLS rows only
+    (vit.encode's cls_only).
     """
-    return forward_tokens(model, embed(patches, model.encoder))
+    return T.linear(_pooled(model, embed(patches, model.encoder)), model.head.w, model.head.b)
 
 
-def forward_tokens(model: Model, seq: TokenSequence) -> Tensor:
-    """forward after embed: the logits of an embedded token sequence."""
-    feats = encode(seq, model.encoder, cls_only=model.pooling == "cls")
-    return T.linear(pool(feats, model.pooling), model.head.w, model.head.b)
+def _pooled(model: Model, seq: TokenSequence) -> Tensor:
+    """The pooled features (batch, dim) of an embedded token sequence."""
+    return pool(encode(seq, model.encoder, cls_only=model.pooling == "cls"), model.pooling)
+
+
+def probabilities(model: Model, seq: TokenSequence) -> np.ndarray:
+    """forward's positive-class probability of each sample of an embedded
+    token sequence, with no tape.
+
+    The head's (M, dim) @ (dim, 2) product gives a row the bits it has in a
+    larger product only when M is a multiple of four. So the head runs on
+    the pooled rows padded with copies of the first to a multiple of four,
+    and a sample's probability does not depend on the batch or chunk it is
+    scored in. Batches of a multiple of four rows keep forward's bits.
+    """
+    with T.no_grad():
+        feats = _pooled(model, seq).data
+        rows = np.concatenate([feats, np.repeat(feats[:1], -len(feats) % 4, axis=0)])
+        return T.softmax(T.linear(rows, model.head.w, model.head.b)).data[:len(feats), 1]
 
 
 def auroc(scores, labels) -> float:
@@ -193,11 +209,11 @@ class FinetuneResult:
 
 def score_samples(patches: np.ndarray, model: Model) -> np.ndarray:
     """Positive-class probability for each sample in a stacked patch array,
-    SCORE_BATCH samples per forward, with no tape."""
+    SCORE_BATCH samples per forward, with no tape (see probabilities)."""
     out = []
     with T.no_grad():
         for lo in range(0, patches.shape[0], SCORE_BATCH):
-            out.append(T.softmax(forward(model, patches[lo:lo + SCORE_BATCH])).data[:, 1])
+            out.append(probabilities(model, embed(patches[lo:lo + SCORE_BATCH], model.encoder)))
     return np.concatenate(out)
 
 
@@ -324,9 +340,8 @@ def build_scorer(model: Model, mel_cfg: MelConfig):
     are cut from it. Frames are fully contained (no centre padding), so
     those rows are the window's own log-mel; at a step of whole hops, as
     the default 0.01 s, a chunk is one group. The windows then run as one
-    tape-free batch through forward, with the same bits as score_samples
-    gives a chunk of up to SCORE_BATCH windows, but with the patches freed
-    once embedded.
+    tape-free batch through probabilities, with the bits score_samples gives
+    each window, but with the patches freed once embedded.
     """
     hop = mel_cfg.frame_hop_samples
 
@@ -355,7 +370,7 @@ def build_scorer(model: Model, mel_cfg: MelConfig):
         with T.no_grad():
             seq = embed(window_patches(wave, np.asarray(offsets, dtype=np.intp).tolist(), win),
                         model.encoder)
-            return T.softmax(forward_tokens(model, seq)).data[:, 1]
+        return probabilities(model, seq)
 
     return scorer
 

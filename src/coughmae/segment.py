@@ -28,19 +28,26 @@ from .workers import in_order, worker_count
 _OVERLAP_TOL = 1e-12
 
 # Windows per scorer call, at any worker count; it bounds the memory a long
-# recording needs. Two workers of 32 peaked 13% higher than two of 16, and
-# one worker of 32 had glibc trim and refault its heap after every chunk
-# (about 233,000 minor faults per 60 s recording, against 3,100 at 16).
-SCORE_CHUNK = 16
+# recording needs. A chunk makes about the same number of numpy calls at any
+# size, so larger chunks hand the GIL between the two workers less often. On
+# a 2-core box with the malloc thresholds pinned, one thread took 316-348 us
+# per window at 32 against 334-454 us at 16, and 389-486 us at 64 and 128,
+# whose arrays outgrow a 2 MB L2 cache. Bench `segment` (two workers) rose
+# from 31.4 to 42.9 audio-s/s, and its CPU per repeat fell from 3.17 to
+# 2.46 s: the gain is mostly less contention. One call peaks at 4.2 MB
+# (tracemalloc), as the tape-free tensor.gelu holds two full-size arrays,
+# not three; with three, 32 windows raised peak RSS by 13.6%.
+SCORE_CHUNK = 32
 
 # Window-start samples per block that slide() reads, rounded down to whole
 # chunks and at least one chunk. At 16 kHz and the default 0.01 s step that
-# is 8 chunks, and a block with its 0.4 s window is 1.7 s, 26,720 samples.
+# is 4 chunks, and a block with its 0.4 s window is 1.7 s, 26,720 samples;
+# at a 0.1 s step a block is one chunk.
 # Budgeting samples, not windows, keeps long steps from reading long blocks.
 BLOCK_SAMPLES = 20_480
 
 # glibc (mmap, trim) thresholds, bytes, that `coughmae segment` pins before
-# scoring (workers.pin_malloc_thresholds). Each chunk's arrays, about 0.5 MB,
+# scoring (workers.pin_malloc_thresholds). Each chunk's arrays, about 1.1 MB,
 # then stay in the heap. A streamed run on a 60 s recording frees no large
 # block that would lift glibc's own threshold above them, and took 199k-291k
 # minor faults without the pin against about 9.6k with it (2-core box).
@@ -90,6 +97,16 @@ def _extend(merged: list[list[float]], lo: float, hi: float) -> None:
         merged.append([lo, hi])
 
 
+def window_grid(audio: Waveform | WavStream, cfg: SegmentationConfig) -> tuple[int, int, int]:
+    """(window, step, full windows) of the audio in samples, as slide scores them."""
+    rate = audio.sample_rate
+    win = int(round(cfg.window * rate))
+    step = int(round(cfg.step * rate))
+    if step <= 0 or win <= 0:
+        raise DataError(f"window/step too small for rate {rate}")
+    return win, step, max(0, (audio.n_samples - win) // step + 1)
+
+
 def slide(audio: Waveform | WavStream, scorer: Scorer, cfg: SegmentationConfig) -> list[Event]:
     """Score every full window and merge positive ones into events.
 
@@ -116,11 +133,7 @@ def slide(audio: Waveform | WavStream, scorer: Scorer, cfg: SegmentationConfig) 
     one window yields no events.
     """
     rate = audio.sample_rate
-    win = int(round(cfg.window * rate))
-    step = int(round(cfg.step * rate))
-    if step <= 0 or win <= 0:
-        raise DataError(f"window/step too small for rate {rate}")
-    n_windows = max(0, (audio.n_samples - win) // step + 1)
+    win, step, n_windows = window_grid(audio, cfg)
     per_block = SCORE_CHUNK * max(1, BLOCK_SAMPLES // (SCORE_CHUNK * step))
 
     def chunks():

@@ -56,7 +56,7 @@ def _as_array(x) -> np.ndarray:
 
 
 def _require_finite(arr: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericsError(f"non-finite values produced by op '{op}'")
 
 
@@ -364,6 +364,48 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = LAYER_NORM_EP
     return _node(out, "layer_norm", (x, gain, bias), (grad_x, grad_gain, grad_bias))
 
 
+def _gelu_forward(vs: np.ndarray, ts: np.ndarray, outs: np.ndarray, ss: np.ndarray) -> None:
+    """GELU of vs into outs, elementwise; ts ends as tanh(C * (v + K * v ** 3)).
+
+    The four arrays are flat and of one length; ts and ss are work space.
+    """
+    # t = v + K * y at y = c - d, out = the same at y = c + d, ss = d
+    np.multiply(vs, vs, out=ts)
+    np.multiply(ts, vs, out=ts)
+    # c's exponent bits alone are the power of two 2^e <= |c|, and
+    # 2^-52 of it is np.spacing(|c|) at a fraction of its cost (0, not
+    # the smallest subnormal, when c is subnormal; the floor covers it)
+    np.bitwise_and(ts.view(np.int64), _EXPONENT_BITS, out=ss.view(np.int64))
+    np.multiply(_GELU_CUBE_SLACK * 2.0 ** -52, ss, out=ss)
+    np.add(ss, _GELU_CUBE_FLOOR, out=ss)
+    np.add(ts, ss, out=outs)
+    np.multiply(_GELU_K, outs, out=outs)
+    np.add(vs, outs, out=outs)
+    np.subtract(ts, ss, out=ts)
+    np.multiply(_GELU_K, ts, out=ts)
+    np.add(vs, ts, out=ts)
+    # lanes whose ends differ (or are NaN) take v + K * v ** 3
+    differ = ss.view(np.bool_)[:vs.size]
+    np.not_equal(ts, outs, out=differ)
+    idx = np.flatnonzero(differ)
+    # out (the bracket's upper end) and scratch (the mask, now read into
+    # idx) are free again; mode="clip" lets take write into out
+    # unbuffered, and idx is in range anyway
+    vi, cube = outs[:idx.size], ss[:idx.size]
+    np.take(vs, idx, out=vi, mode="clip")
+    np.power(vi, 3, out=cube)
+    np.multiply(_GELU_K, cube, out=cube)
+    np.add(vi, cube, out=cube)
+    ts[idx] = cube
+    # t = tanh(C * (v + K * v ** 3)), built in t's own buffer
+    np.multiply(_GELU_C, ts, out=ts)
+    np.tanh(ts, out=ts)
+    # out = 0.5 * v * (1.0 + t)
+    np.multiply(0.5, vs, out=outs)
+    np.add(1.0, ts, out=ss)
+    np.multiply(outs, ss, out=outs)
+
+
 def gelu(x: Tensor) -> Tensor:
     """GELU, tanh approximation: 0.5 x (1 + tanh(sqrt(2/pi)(x + 0.044715 x^3))).
 
@@ -377,60 +419,39 @@ def gelu(x: Tensor) -> Tensor:
     inf ones among them, gather v, take v + K * np.power(v, 3) and scatter it
     back. At the bench models' activations that is about 4% of the lanes.
 
-    The forward runs over the flattened arrays through workers.split_halves,
-    so on a free core the helper computes the second half. Each element
-    gets the same expressions whatever the split, so the bits do not change.
-    The halves allocate only the indices of the lanes np.power takes: the
-    bracket, those lanes and their cubes live in t, out and scratch, which
-    the caller allocates. The VJP is not split: the hand-off made it slower
-    on the encoder's activations (0.17 -> 0.42 ms at 26,624 values). It has
-    no pow, yet costs nearly as much as the forward: under cProfile, 64
-    bench-shaped pretraining steps on a 2-core box spent 0.25 s in it
-    against 0.30 s in the forward.
+    The forward needs three buffers of its range: the bracket, those lanes
+    and their cubes live in t, out and scratch, and it allocates only the
+    indices of the lanes np.power takes. The bits of an element do not
+    depend on the range it is computed in.
+    - When it records a tape, the VJP reads t, so t, out and scratch are
+      full-size, allocated in the caller's thread, and the forward runs
+      over the flattened arrays through workers.split_halves: on a free
+      core the helper computes the second half.
+    - With no tape (under no_grad, or on a constant), t dies with the
+      forward, so it runs as two halves in turn, in the caller's thread,
+      through one half-size t and scratch: two full-size arrays in all,
+      against three. Segmentation's chunks, the largest tape-free GELUs,
+      run on workers that leave no core free to split for.
+
+    The VJP is not split: the hand-off made it slower on the encoder's
+    activations (0.17 -> 0.42 ms at 26,624 values). It has no pow, yet costs
+    nearly as much as the forward: under cProfile, 64 bench-shaped
+    pretraining steps on a 2-core box spent 0.25 s in it against 0.30 s in
+    the forward.
     """
     x = _lift(x)
     v = x.data.reshape(-1)
-    t, out, scratch = np.empty_like(v), np.empty_like(v), np.empty_like(v)
-
-    def forward(lo, hi):
-        vs, ts, outs, ss = v[lo:hi], t[lo:hi], out[lo:hi], scratch[lo:hi]
-        # t = v + K * y at y = c - d, out = the same at y = c + d, ss = d
-        np.multiply(vs, vs, out=ts)
-        np.multiply(ts, vs, out=ts)
-        # c's exponent bits alone are the power of two 2^e <= |c|, and
-        # 2^-52 of it is np.spacing(|c|) at a fraction of its cost (0, not
-        # the smallest subnormal, when c is subnormal; the floor covers it)
-        np.bitwise_and(ts.view(np.int64), _EXPONENT_BITS, out=ss.view(np.int64))
-        np.multiply(_GELU_CUBE_SLACK * 2.0 ** -52, ss, out=ss)
-        np.add(ss, _GELU_CUBE_FLOOR, out=ss)
-        np.add(ts, ss, out=outs)
-        np.multiply(_GELU_K, outs, out=outs)
-        np.add(vs, outs, out=outs)
-        np.subtract(ts, ss, out=ts)
-        np.multiply(_GELU_K, ts, out=ts)
-        np.add(vs, ts, out=ts)
-        # lanes whose ends differ (or are NaN) take v + K * v ** 3
-        differ = ss.view(np.bool_)[:hi - lo]
-        np.not_equal(ts, outs, out=differ)
-        idx = np.flatnonzero(differ)
-        # out (the bracket's upper end) and scratch (the mask, now read into
-        # idx) are free again; mode="clip" lets take write into out
-        # unbuffered, and idx is in range anyway
-        vi, cube = outs[:idx.size], ss[:idx.size]
-        np.take(vs, idx, out=vi, mode="clip")
-        np.power(vi, 3, out=cube)
-        np.multiply(_GELU_K, cube, out=cube)
-        np.add(vi, cube, out=cube)
-        ts[idx] = cube
-        # t = tanh(C * (v + K * v ** 3)), built in t's own buffer
-        np.multiply(_GELU_C, ts, out=ts)
-        np.tanh(ts, out=ts)
-        # out = 0.5 * v * (1.0 + t)
-        np.multiply(0.5, vs, out=outs)
-        np.add(1.0, ts, out=ss)
-        np.multiply(outs, ss, out=outs)
-
-    split_halves(forward, v.size)
+    out = np.empty_like(v)
+    if not (_grad_mode.enabled and x.requires_grad):
+        half = (v.size + 1) // 2
+        t, scratch = np.empty(half, dtype=DTYPE), np.empty(half, dtype=DTYPE)
+        for lo, hi in ((0, half), (half, v.size)):
+            _gelu_forward(v[lo:hi], t[:hi - lo], out[lo:hi], scratch[:hi - lo])
+        del t, scratch      # before _node's finite check, as below
+        return _node(out.reshape(x.shape), "gelu", (x,), ())
+    t, scratch = np.empty_like(v), np.empty_like(v)
+    split_halves(lambda lo, hi: _gelu_forward(v[lo:hi], t[lo:hi], out[lo:hi], scratch[lo:hi]),
+                 v.size)
     del scratch     # before _node's finite check, so it adds nothing to the peak
 
     def vjp(g):

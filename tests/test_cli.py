@@ -1,6 +1,7 @@
 """Command-line workflows, exit codes, and artifact determinism."""
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -17,7 +18,7 @@ import coughmae.mae
 from coughmae.checkpoint import load_checkpoint, save_checkpoint
 from coughmae.cli import main
 from coughmae.config import RunConfig, load_config, serialize_config
-from coughmae.dsp import load_manifest
+from coughmae.dsp import load_manifest, load_wav
 from coughmae.errors import DataError
 from coughmae.finetune import load_model, prepare_finetune
 from coughmae.mae import prepare_patches
@@ -251,6 +252,27 @@ def test_segment_writes_events(finetuned_model, corpus, capsys, tmp_path):
     events = Path(out.strip())
     assert events == tmp_path / "seg_out" / "events.csv"
     assert events.read_text().startswith("start_s,end_s")
+
+
+def test_segment_logs_windows_wall_and_cpu(finetuned_model, corpus, capsys, tmp_path):
+    """The closing log line gives the windows scored and slide's wall and
+    process CPU seconds, on stderr only: events.csv keeps its bytes."""
+    wav = sorted(corpus.parent.glob("*.wav"))[0]
+    cfg = write_config(tmp_path / "seg.json", model=SMALL_MODEL,
+                       paths={"output_dir": str(tmp_path / "seg_out")})
+    code, out, err = run_cli(capsys, "segment", "--config", str(cfg), "--audio", str(wav),
+                             "--checkpoint", str(finetuned_model / "model.bin"))
+    assert code == 0
+    events = tmp_path / "seg_out" / "events.csv"
+    line = err.strip().splitlines()[-1]
+    found = re.fullmatch(r"\[\d\d:\d\d:\d\d\] (\d+) events -> (.+); (\d+) windows scored "
+                         r"in (\d+\.\d\d) s wall, (\d+\.\d\d) s CPU", line)
+    assert found, line
+    n_events, path, windows, wall, cpu = found.groups()
+    assert Path(path) == events and int(n_events) == events.read_text().count("\n") - 1
+    assert int(windows) == (len(load_wav(wav).samples) - 6400) // 160 + 1    # 0.4 s, 0.01 s
+    assert float(wall) > 0.0 and float(cpu) > 0.0
+    assert "scored" not in events.read_text() and "scored" not in out
 
 
 def test_segment_with_truth_scores(finetuned_model, corpus, capsys, tmp_path):

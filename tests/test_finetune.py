@@ -15,7 +15,7 @@ from coughmae import vit, workers
 from coughmae.checkpoint import Checkpoint, load_checkpoint, load_into, save_checkpoint
 from coughmae.dsp import DatasetManifest, ManifestEntry, MelConfig, synth_dataset
 from coughmae.errors import CheckpointError, ConfigError, DataError, NumericsError, ShapeError
-from coughmae.finetune import (N_CLASSES, SCORE_BATCH, EvalReport, FinetuneConfig,
+from coughmae.finetune import (N_CLASSES, POOLINGS, SCORE_BATCH, EvalReport, FinetuneConfig,
                                FinetuneResult, Model, auroc, cross_validate,
                                finetune_arrays, forward, kfold_split, load_model, pool,
                                prepare_finetune, score_samples)
@@ -439,7 +439,8 @@ def test_score_samples_cls_bit_identical_to_full_sequence():
     """Under CLS pooling score_samples runs the last block on the CLS rows
     only; its probabilities equal those of the full-sequence encoder byte for
     byte: in chunks of 32 and 1, and for each sample scored alone (a batch
-    of one carries a second row; with one row, 6 of these 16 differ)."""
+    of one carries a second row; with one row, 6 of these 16 differ). Both
+    run the head on rows padded to a multiple of four (see probabilities)."""
     model_cfg = ModelConfig()     # the desk widths, where GEMV and GEMM rows differ
     encoder, head = EncoderParams(model_cfg, seed=3), new_head(model_cfg.dim, seed=4)
     head.w.data *= 100.0     # logits of order one, so a last-bit change in a feature shows
@@ -448,8 +449,9 @@ def test_score_samples_cls_bit_identical_to_full_sequence():
 
     def full_sequence(chunk):
         with T.no_grad():
-            full = vit.encode(vit.embed(chunk, encoder), encoder)
-            return T.softmax(T.linear(pool(full, "cls"), head.w, head.b)).data[:, 1]
+            feats = pool(vit.encode(vit.embed(chunk, encoder), encoder), "cls").data
+            rows = np.concatenate([feats, np.repeat(feats[:1], -len(feats) % 4, axis=0)])
+            return T.softmax(T.linear(rows, head.w, head.b)).data[:len(feats), 1]
 
     want = np.concatenate([full_sequence(patches[:SCORE_BATCH]),
                            full_sequence(patches[SCORE_BATCH:])])
@@ -457,6 +459,26 @@ def test_score_samples_cls_bit_identical_to_full_sequence():
     for i in range(16):
         alone = score_samples(patches[i:i + 1], model)
         assert alone.tobytes() == full_sequence(patches[i:i + 1]).tobytes(), i
+        assert alone.tobytes() == want[i:i + 1].tobytes(), i
+
+
+@pytest.mark.parametrize("pooling", POOLINGS)
+def test_score_samples_do_not_depend_on_their_batch(pooling):
+    """A sample's probability has the same bits in a batch of any size at
+    any position: the head's product gives row i the bits it has in a
+    larger one only at a multiple of four rows, so the rows are padded to
+    one. Unpadded, batches of 1-3 and of most sizes that are not a multiple
+    of four differ here."""
+    model_cfg = ModelConfig()
+    model = Model(encoder=EncoderParams(model_cfg, seed=3), head=new_head(model_cfg.dim, seed=4),
+                  pooling=pooling, stats=None)
+    model.head.w.data *= 100.0     # so a last-bit change in a logit shows
+    x = np.random.default_rng(1).normal(size=(40, 48, 256))
+    whole = score_samples(x, model)
+    for m in range(1, 34):
+        for i in sorted({0, 1, 2, 3, 5, len(x) - m}):
+            got = score_samples(x[i:i + m], model)
+            assert got.tobytes() == whole[i:i + m].tobytes(), (m, i)
 
 
 def test_finetune_step_frees_its_tape(small_task):

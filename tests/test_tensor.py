@@ -2,6 +2,7 @@
 import itertools
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -373,7 +374,7 @@ def test_no_split_while_every_worker_runs_a_job(cpus, helper_halves):
 
     def job(_):
         started.wait()                    # all n jobs are running
-        out = T.gelu(t(v)).data
+        out = T.gelu(Parameter(v.copy(), "x")).data     # a tape: the path that splits
         done.wait()                       # none ends before the others computed
         return out
 
@@ -394,18 +395,38 @@ GELU_EDGE_VALUES = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-120, 1e-101
 GELU_EDGE_VALUES += [-x for x in GELU_EDGE_VALUES] + [np.nan]
 
 
+def gelu_recorded(v):
+    return T.gelu(Parameter(v.copy(), "x"))
+
+
+def gelu_on_constant(v):
+    return T.gelu(t(v))
+
+
+def gelu_under_no_grad(v):
+    with T.no_grad():
+        return T.gelu(Parameter(v.copy(), "x"))
+
+
 def gelu_matches_unsplit(v, g):
-    """T.gelu's forward and VJP against gelu_unsplit, byte for byte; a
-    non-finite output must be the same NumericsError from op gelu."""
+    """T.gelu's forward, with a tape and without one (on a constant and
+    under no_grad), and its VJP against gelu_unsplit, byte for byte; a
+    non-finite output must be the same NumericsError from op gelu in every
+    mode."""
     want_out, want_grad = gelu_unsplit(v, g)
     if not np.isfinite(want_out).all():
-        with pytest.raises(NumericsError, match="op 'gelu'"):
-            T.gelu(Parameter(v.copy(), "x"))
+        for mode in (gelu_recorded, gelu_on_constant, gelu_under_no_grad):
+            with pytest.raises(NumericsError, match="op 'gelu'"):
+                mode(v)
         return
-    out = T.gelu(Parameter(v.copy(), "x"))
+    out = gelu_recorded(v)
     (vjp,) = out._vjps
     assert out.data.tobytes() == want_out.tobytes()
     assert vjp(g).tobytes() == want_grad.tobytes()
+    for mode in (gelu_on_constant, gelu_under_no_grad):
+        free = mode(v)
+        assert free._vjps == () and not free.requires_grad
+        assert free.data.tobytes() == want_out.tobytes(), mode.__name__
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")    # inf and overflow lanes, as with v ** 3
@@ -419,6 +440,53 @@ def test_gelu_bit_identical_on_edge_values(cpus, values):
     # tiled past MIN_SPLIT_SIZE, an odd size the helper splits on 2 CPUs
     big = np.resize(v, workers.MIN_SPLIT_SIZE + 1)
     gelu_matches_unsplit(big, np.cos(np.arange(big.size)))
+
+
+# cubes at binade edges, where v * v * v and v ** 3 round apart most often,
+# and tanh arguments at and past saturation
+_BINADE_CUBES = [np.nextafter(np.cbrt(2.0 ** k), d) for k in range(-60, 61, 7)
+                 for d in (0.0, np.inf)] + [np.cbrt(2.0 ** k) for k in range(-60, 61, 7)]
+GELU_TAPE_FREE_EDGES = np.array(
+    [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-150, 1e150, 5.0, 9.5, 19.1, 20.0,
+     30.0, 1e8] + _BINADE_CUBES)
+GELU_TAPE_FREE_EDGES = np.concatenate([GELU_TAPE_FREE_EDGES, -GELU_TAPE_FREE_EDGES])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")    # the cube of 1e150 overflows
+@pytest.mark.parametrize("sigma", [0.16, 0.5, 3.0, None], ids=["0.16", "0.5", "3", "edges"])
+def test_gelu_without_tape_bit_identical_to_recorded(sigma, cpus):
+    """The tape-free forward runs its two halves through half-size work
+    space; the recorded one through full-size buffers and the helper split.
+    Odd sizes give halves of unequal length."""
+    if sigma is None:
+        v = GELU_TAPE_FREE_EDGES
+        gelu_matches_unsplit(v, np.cos(np.arange(v.size)))
+        v = np.resize(v, workers.MIN_SPLIT_SIZE + 1)    # split when recorded on 2 CPUs
+    else:
+        v = np.random.default_rng(17).normal(0.0, sigma, size=(3, 17, 1093))
+    gelu_matches_unsplit(v, np.cos(np.arange(v.size)).reshape(v.shape))
+
+
+def test_gelu_without_tape_holds_two_full_size_arrays():
+    """Without a tape, t dies with the forward, so GELU's peak is its output
+    plus half-size t and scratch, with the finite check's mask and the
+    np.power lanes on top; with a tape it holds t, out and scratch."""
+    n = 1 << 18
+    v = np.random.default_rng(18).normal(0.0, 0.5, n)
+    constant, parameter = t(v), Parameter(v.copy(), "x")
+
+    def peak(x) -> int:
+        tracemalloc.start()
+        try:
+            T.gelu(x)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(constant) < 2.25 * 8 * n
+    with T.no_grad():
+        assert peak(parameter) < 2.25 * 8 * n
+    assert peak(parameter) > 3 * 8 * n
 
 
 @pytest.fixture
@@ -439,7 +507,7 @@ def test_gelu_sends_only_undecided_lanes_to_power(cpus, power_lanes):
     # activations of the segment model's spread: both branches run
     v = np.random.default_rng(14).normal(size=(8, 50, 256)) * 0.16
     gelu_matches_unsplit(v, np.cos(v))
-    assert 0 < sum(power_lanes) < v.size / 10
+    assert 0 < sum(power_lanes) < 3 * v.size / 10       # one forward in each of 3 modes
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered in multiply")   # inf * 0
@@ -448,7 +516,7 @@ def test_gelu_with_huge_slack_sends_every_lane_to_power(cpus, power_lanes, monke
     r = np.random.default_rng(15)
     v = np.concatenate([r.normal(size=workers.MIN_SPLIT_SIZE) * 0.16, [0.0, -0.0, 5e-324, 1e-120]])
     gelu_matches_unsplit(v, np.cos(v))
-    assert sum(power_lanes) == v.size
+    assert sum(power_lanes) == 3 * v.size               # one forward in each of 3 modes
 
 
 def test_gelu_cube_slack_covers_power_error():
